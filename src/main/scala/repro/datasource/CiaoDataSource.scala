@@ -3,14 +3,12 @@ package repro.datasource
 import java.util.{Map => JMap}
 
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
 import org.apache.spark.sql.connector.expressions.Transform
 import org.apache.spark.sql.connector.read._
 import org.apache.spark.sql.sources.{DataSourceRegister, Filter}
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
-import org.apache.spark.unsafe.types.UTF8String
 
 import repro.core.BitVec
 import repro.json.JsonParser
@@ -141,44 +139,41 @@ class CiaoReaderFactory extends PartitionReaderFactory {
     }
 }
 
-/** Reads one Parquet chunk row by row, skipping rows whose combined
+/** Reads one Parquet chunk batch by batch, skipping rows whose combined
   * (ANDed) bit across the scan's matched predicates is 0.
   */
 class ParquetChunkReader(p: ParquetChunkPartition) extends PartitionReader[InternalRow] {
-  private val rows = new ParquetIO.ChunkRows(p.parquetPath, p.tableSchema)
-  private val combined: Option[IndexedSeq[Boolean]] =
+  private val reader = new ParquetIO.BatchReader(p.parquetPath, p.tableSchema)
+  private val batch  = reader.resultBatch()
+  private val combined: Option[BitVec] =
     if (p.skipIds.isEmpty) None
-    else p.bitsPath.map { bp =>
-      val sidecar = ChunkStore.readBits(bp)
-      val nRows   = sidecar.headOption.map(_._2.nBits).getOrElse(0)
-      DataSkipping.combinedBits(sidecar, p.skipIds.toSeq, nRows).toBooleans
-    }
+    else p.bitsPath.map(bp => DataSkipping.combinedBits(ChunkStore.readBits(bp), p.skipIds.toSeq, reader.rowCount.toInt))
 
-  private var rowIdx  = -1
-  private var current: Array[Any] = _
+  private var batchStart = 0  // file row index of the batch's first row
+  private var i          = -1 // current row within the batch
 
   override def next(): Boolean = {
-    while (rows.hasNext) {
-      current = rows.next()
-      rowIdx += 1
-      val keep = combined match {
-        case Some(bits) => rowIdx < bits.size && bits(rowIdx)
-        case None       => true
-      }
-      if (keep) return true
-    }
-    false
+    var more = advance()
+    while (more && !combined.forall(_.get(batchStart + i))) more = advance()
+    more
   }
 
-  override def get(): InternalRow = CiaoRows.toInternal(current)
+  /** Step to the next row of the file; false past its last row. */
+  private def advance(): Boolean = {
+    i += 1
+    if (i < batch.numRows()) true
+    else { batchStart += batch.numRows(); i = 0; reader.nextBatch() }
+  }
 
-  override def close(): Unit = rows.close()
+  override def get(): InternalRow = batch.getRow(i)
+
+  override def close(): Unit = reader.close()
 }
 
 /** Parses one `.raw` JSON chunk just-in-time and emits every object. */
 class RawChunkReader(p: RawChunkPartition) extends PartitionReader[InternalRow] {
   private val lines   = ChunkStore.readRawLines(p.rawPath).iterator
-  private var current: Array[Any] = _
+  private var current: InternalRow = _
 
   override def next(): Boolean = {
     if (!lines.hasNext) false
@@ -188,23 +183,7 @@ class RawChunkReader(p: RawChunkPartition) extends PartitionReader[InternalRow] 
     }
   }
 
-  override def get(): InternalRow = CiaoRows.toInternal(current)
+  override def get(): InternalRow = current
 
   override def close(): Unit = ()
-}
-
-private object CiaoRows {
-  /** External row values → Catalyst internal representation. */
-  def toInternal(row: Array[Any]): InternalRow = {
-    val vals = new Array[Any](row.length)
-    var i = 0
-    while (i < row.length) {
-      vals(i) = row(i) match {
-        case s: String => UTF8String.fromString(s)
-        case other     => other // Long / Double / Boolean / null are internal-compatible
-      }
-      i += 1
-    }
-    new GenericInternalRow(vals)
-  }
 }

@@ -62,7 +62,14 @@ object Harness {
     * lenT times the intercept column) and the fit would be singular.
     */
   def calibrate(sampleLines: Seq[String], pool: Vector[PredicatePool.PoolEntry],
-                maxPreds: Int = 80): CostModel.Coeffs = {
+                maxPreds: Int = 80): CostModel.Coeffs =
+    CostModel.calibrate(searchSamples(sampleLines, pool, maxPreds), lambda = 1e-6)
+
+  /** Time about `maxPreds` pool patterns, spread over pattern length, each
+    * against one of four line-length buckets of `sampleLines` in turn.
+    */
+  def searchSamples(sampleLines: Seq[String], pool: Vector[PredicatePool.PoolEntry],
+                    maxPreds: Int): Vector[CostModel.Sample] = {
     val lines = sampleLines.toIndexedSeq.sortBy(_.length)
     val nBuckets = 4
     val buckets = (0 until nBuckets)
@@ -71,12 +78,11 @@ object Harness {
     // One search per sample: use each candidate's first pattern string.
     val patterns = pool.flatMap(_.clause.atoms.flatMap(_.patterns)).distinct
     val chosen   = patterns.sortBy(_.length).grouped(math.max(1, patterns.size / maxPreds)).map(_.head).toVector
-    val samples = chosen.zipWithIndex.map { case (pat, i) =>
+    chosen.zipWithIndex.map { case (pat, i) =>
       val bucket = buckets(i % buckets.size)
       val bLen   = bucket.map(_.length.toLong).sum.toDouble / bucket.size
       measureSearch(bucket, pat, bLen)
     }
-    CostModel.calibrate(samples, lambda = 1e-6)
   }
 
   /** Measure one pattern's per-object search cost in µs. Each timing runs

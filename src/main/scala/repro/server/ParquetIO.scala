@@ -1,19 +1,23 @@
 package repro.server
 
+import scala.jdk.CollectionConverters._
+
 import org.apache.hadoop.conf.Configuration
 import org.apache.hadoop.fs.Path
-import org.apache.parquet.example.data.Group
-import org.apache.parquet.example.data.simple.SimpleGroupFactory
-import org.apache.parquet.hadoop.ParquetReader
-import org.apache.parquet.hadoop.example.{ExampleParquetWriter, GroupReadSupport, GroupWriteSupport}
-import org.apache.parquet.schema.{LogicalTypeAnnotation, MessageType, Types}
-import org.apache.parquet.schema.PrimitiveType.PrimitiveTypeName
+import org.apache.parquet.hadoop.ParquetWriter
+import org.apache.parquet.hadoop.api.WriteSupport
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
+import org.apache.spark.sql.execution.datasources.parquet.{ParquetWriteSupport, VectorizedParquetRecordReader}
+import org.apache.spark.sql.internal.SQLConf
+import org.apache.spark.unsafe.types.UTF8String
 
+import repro.datasource.CiaoDataSource
 import repro.json.{JBool, JNum, JObj, JStr}
 
 /** Flat table schema of a CIAO store (the columns queries touch).
-  * Values in a row are `null | String | java.lang.Long | java.lang.Double |
-  * java.lang.Boolean`, aligned with `cols`.
+  * Rows are Spark `InternalRow`s aligned with `cols`; their Spark types are
+  * [[CiaoDataSource.sparkSchema]].
   */
 final case class TableSchema(cols: Vector[TableSchema.Col]) extends Serializable {
   def names: Vector[String] = cols.map(_.name)
@@ -31,104 +35,66 @@ object TableSchema {
   /** Extract the schema's columns from a parsed JSON object; absent or
     * type-mismatched fields become null (JSON is schemaless on the wire).
     */
-  def extractRow(schema: TableSchema, obj: JObj): Array[Any] =
-    schema.cols.map { col =>
+  def extractRow(schema: TableSchema, obj: JObj): GenericInternalRow =
+    new GenericInternalRow(schema.cols.map { col =>
       (obj.get(col.name), col.tpe) match {
-        case (Some(JStr(s)), CString)  => s
-        case (Some(JNum(r)), CLong)    => java.lang.Long.valueOf(JNum(r).toLong)
-        case (Some(JNum(r)), CDouble)  => java.lang.Double.valueOf(r.toDouble)
-        case (Some(JBool(b)), CBool)   => java.lang.Boolean.valueOf(b)
+        case (Some(JStr(s)), CString)  => UTF8String.fromString(s)
+        case (Some(n: JNum), CLong)    => n.toLong
+        case (Some(n: JNum), CDouble)  => n.toDouble
+        case (Some(JBool(b)), CBool)   => b
         case _                         => null
       }
-    }.toArray[Any]
+    }.toArray[Any])
 }
 
-/** Parquet chunk files written/read through the parquet-hadoop Group API —
-  * the reproduction's stand-in for the paper's Arrow C++ low-level writer.
-  * Row order inside a chunk file is load order, which keeps the sidecar
-  * bit-vectors aligned by row index.
+/** Parquet chunk files, written with Spark's `ParquetWriteSupport` and read
+  * with Spark's `VectorizedParquetRecordReader`. Row order inside a chunk
+  * file is load order, which keeps the sidecar bit-vectors aligned by row
+  * index.
   */
 object ParquetIO {
-  import TableSchema._
-
-  /** Parquet message type for a table schema (all fields optional). */
-  def messageType(schema: TableSchema): MessageType = {
-    val b = Types.buildMessage()
-    schema.cols.foreach { col =>
-      col.tpe match {
-        case CString =>
-          b.addField(Types.optional(PrimitiveTypeName.BINARY)
-            .as(LogicalTypeAnnotation.stringType()).named(col.name))
-        case CLong   => b.addField(Types.optional(PrimitiveTypeName.INT64).named(col.name))
-        case CDouble => b.addField(Types.optional(PrimitiveTypeName.DOUBLE).named(col.name))
-        case CBool   => b.addField(Types.optional(PrimitiveTypeName.BOOLEAN).named(col.name))
-      }
-    }
-    b.named("ciao_chunk")
-  }
 
   /** Write one chunk file; rows align with `schema.cols`. */
-  def writeChunk(path: String, schema: TableSchema, rows: Iterable[Array[Any]]): Unit = {
-    val msgType = messageType(schema)
-    val conf    = new Configuration(false)
-    GroupWriteSupport.setSchema(msgType, conf)
-    val writer = ExampleParquetWriter.builder(new Path(path))
-      .withConf(conf)
-      .withType(msgType)
-      .build()
-    try {
-      val factory = new SimpleGroupFactory(msgType)
-      rows.foreach { row =>
-        val g = factory.newGroup()
-        var i = 0
-        while (i < row.length) {
-          val v = row(i)
-          if (v != null) {
-            val name = schema.cols(i).name
-            schema.cols(i).tpe match {
-              case CString => g.append(name, v.asInstanceOf[String])
-              case CLong   => g.append(name, v.asInstanceOf[java.lang.Long].longValue())
-              case CDouble => g.append(name, v.asInstanceOf[java.lang.Double].doubleValue())
-              case CBool   => g.append(name, v.asInstanceOf[java.lang.Boolean].booleanValue())
-            }
-          }
-          i += 1
-        }
-        writer.write(g)
-      }
-    } finally writer.close()
+  def writeChunk(path: String, schema: TableSchema, rows: Iterable[InternalRow]): Unit = {
+    val writer = new RowWriterBuilder(new Path(path)).withConf(writeConf(schema)).build()
+    try rows.foreach(writer.write) finally writer.close()
   }
 
-  /** Streaming reader over a chunk file; call [[ChunkRows.close]] when done. */
-  final class ChunkRows(path: String, schema: TableSchema) extends Iterator[Array[Any]] with AutoCloseable {
-    private val reader: ParquetReader[Group] =
-      ParquetReader.builder(new GroupReadSupport(), new Path(path))
-        .withConf(new Configuration(false))
-        .build()
-    private var nextGroup: Group = reader.read()
+  private final class RowWriterBuilder(path: Path)
+      extends ParquetWriter.Builder[InternalRow, RowWriterBuilder](path) {
+    override def self(): RowWriterBuilder = this
+    override def getWriteSupport(conf: Configuration): WriteSupport[InternalRow] = new ParquetWriteSupport
+  }
 
-    override def hasNext: Boolean = nextGroup != null
+  /** The row schema plus the four keys Spark's own write path sets, which
+    * `ParquetWriteSupport` reads without a fallback; each takes its default.
+    */
+  private def writeConf(schema: TableSchema): Configuration = {
+    val conf = new Configuration(false)
+    ParquetWriteSupport.setSchema(CiaoDataSource.sparkSchema(schema), conf)
+    Seq(SQLConf.PARQUET_WRITE_LEGACY_FORMAT, SQLConf.PARQUET_OUTPUT_TIMESTAMP_TYPE,
+      SQLConf.PARQUET_FIELD_ID_WRITE_ENABLED, SQLConf.PARQUET_ANNOTATE_VARIANT_LOGICAL_TYPE)
+      .foreach(e => conf.set(e.key, e.defaultValueString))
+    conf
+  }
 
-    override def next(): Array[Any] = {
-      val g = nextGroup
-      nextGroup = reader.read()
-      schema.cols.map { col =>
-        if (g.getFieldRepetitionCount(col.name) == 0) null
-        else col.tpe match {
-          case CString => g.getString(col.name, 0)
-          case CLong   => java.lang.Long.valueOf(g.getLong(col.name, 0))
-          case CDouble => java.lang.Double.valueOf(g.getDouble(col.name, 0))
-          case CBool   => java.lang.Boolean.valueOf(g.getBoolean(col.name, 0))
-        }
-      }.toArray[Any]
-    }
-
-    override def close(): Unit = reader.close()
+  /** Spark's vectorized reader over one chunk file's `schema` columns, with
+    * the file's row count. Read through `resultBatch`/`nextBatch`; close it.
+    */
+  final class BatchReader(path: String, schema: TableSchema)
+      extends VectorizedParquetRecordReader(false, SQLConf.PARQUET_VECTORIZED_READER_BATCH_SIZE.defaultValue.get) {
+    initialize(path, schema.names.asJava)
+    def rowCount: Long = totalRowCount
   }
 
   /** Read a whole chunk eagerly (tests / small chunks). */
-  def readChunk(path: String, schema: TableSchema): Vector[Array[Any]] = {
-    val it = new ChunkRows(path, schema)
-    try it.toVector finally it.close()
+  def readChunk(path: String, schema: TableSchema): Vector[InternalRow] = {
+    val reader = new BatchReader(path, schema)
+    try {
+      val batch = reader.resultBatch()
+      val rows  = Vector.newBuilder[InternalRow]
+      while (reader.nextBatch()) batch.rowIterator().asScala.foreach(rows += _.copy())
+      rows.result()
+    } finally reader.close()
   }
 }

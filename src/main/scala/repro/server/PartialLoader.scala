@@ -11,9 +11,9 @@ import repro.json.JsonParser
   * sidecar bit-vectors are compacted to loaded-row positions so that at
   * query time bit i refers to row i of the chunk's Parquet file.
   *
-  * `loadFull` is the zero-budget baseline: every object is parsed and
-  * loaded (and, when bit-vectors are supplied anyway, they are kept so the
-  * effect of data skipping alone can be isolated in the micro-benchmarks).
+  * `loadFull` is the zero-budget baseline: the same loop with every object
+  * loaded. Bit-vectors supplied anyway are stored uncompacted, so the effect
+  * of data skipping alone can be isolated in the micro-benchmarks.
   */
 object PartialLoader {
 
@@ -31,7 +31,27 @@ object PartialLoader {
                   schema: TableSchema,
                   chunks: IndexedSeq[IndexedSeq[String]],
                   bitsPerChunk: IndexedSeq[Map[Int, BitVec]],
-                  registry: ChunkStore.Registry): LoadStats = {
+                  registry: ChunkStore.Registry): LoadStats =
+    load(dir, schema, chunks, bitsPerChunk, registry, loadAll = false)
+
+  /** Full (baseline) load: parse every object into Parquet. When bit-vectors
+    * are provided they are stored uncompacted (all rows are loaded), enabling
+    * data skipping without partial loading.
+    */
+  def loadFull(dir: String,
+               schema: TableSchema,
+               chunks: IndexedSeq[IndexedSeq[String]],
+               bitsPerChunk: IndexedSeq[Map[Int, BitVec]] = IndexedSeq.empty,
+               registry: ChunkStore.Registry = ChunkStore.Registry(Vector.empty)): LoadStats =
+    load(dir, schema, chunks,
+      if (bitsPerChunk.isEmpty) chunks.map(_ => Map.empty[Int, BitVec]) else bitsPerChunk, registry, loadAll = true)
+
+  private def load(dir: String,
+                   schema: TableSchema,
+                   chunks: IndexedSeq[IndexedSeq[String]],
+                   bitsPerChunk: IndexedSeq[Map[Int, BitVec]],
+                   registry: ChunkStore.Registry,
+                   loadAll: Boolean): LoadStats = {
     require(chunks.size == bitsPerChunk.size,
       s"chunk/bits count mismatch: ${chunks.size} vs ${bitsPerChunk.size}")
     ChunkStore.init(dir)
@@ -45,10 +65,10 @@ object PartialLoader {
       val lines = chunks(i)
       val bits  = bitsPerChunk(i)
       total += lines.size
-      val orBits =
-        if (bits.isEmpty) BitVec.full(lines.size) // nothing pushed ⇒ load everything
+      val mask =
+        if (loadAll || bits.isEmpty) BitVec.full(lines.size) // full load, or nothing pushed
         else BitVec.unionAll(lines.size, bits.values.toSeq)
-      val loadedPos = orBits.setBits
+      val loadedPos = mask.setBits
       loaded += loadedPos.size
 
       if (loadedPos.nonEmpty) {
@@ -56,42 +76,15 @@ object PartialLoader {
           TableSchema.extractRow(schema, JsonParser.parseObject(lines(p)))
         }.toVector
         ParquetIO.writeChunk(ChunkStore.parquetPath(dir, i), schema, rows)
-        if (bits.nonEmpty)
-          ChunkStore.writeBits(ChunkStore.bitsPath(dir, i), bits.map { case (id, bv) => id -> bv.compact(loadedPos) })
+        // Compacting over every row is the identity, so a full mask skips it.
+        val kept = if (loadedPos.size == lines.size) bits else bits.map { case (id, bv) => id -> bv.compact(loadedPos) }
+        if (kept.nonEmpty) ChunkStore.writeBits(ChunkStore.bitsPath(dir, i), kept)
       }
       if (loadedPos.size < lines.size) {
-        val rawLines = lines.indices.filterNot(orBits.get).map(lines)
+        val rawLines = lines.indices.filterNot(mask.get).map(lines)
         ChunkStore.writeRawLines(ChunkStore.rawPath(dir, i), rawLines)
       }
     }
     LoadStats(total, loaded, chunks.size, System.nanoTime() - t0)
-  }
-
-  /** Full (baseline) load: parse every object into Parquet. When bit-vectors
-    * are provided they are stored uncompacted (all rows are loaded), enabling
-    * data skipping without partial loading.
-    */
-  def loadFull(dir: String,
-               schema: TableSchema,
-               chunks: IndexedSeq[IndexedSeq[String]],
-               bitsPerChunk: IndexedSeq[Map[Int, BitVec]] = IndexedSeq.empty,
-               registry: ChunkStore.Registry = ChunkStore.Registry(Vector.empty)): LoadStats = {
-    ChunkStore.init(dir)
-    ChunkStore.writeSchema(dir, schema)
-    ChunkStore.writeRegistry(dir, registry)
-
-    val t0 = System.nanoTime()
-    var total = 0L
-    chunks.indices.foreach { i =>
-      val lines = chunks(i)
-      total += lines.size
-      val rows = lines.iterator.map { l =>
-        TableSchema.extractRow(schema, JsonParser.parseObject(l))
-      }.toVector
-      ParquetIO.writeChunk(ChunkStore.parquetPath(dir, i), schema, rows)
-      if (bitsPerChunk.nonEmpty && bitsPerChunk(i).nonEmpty)
-        ChunkStore.writeBits(ChunkStore.bitsPath(dir, i), bitsPerChunk(i))
-    }
-    LoadStats(total, total, chunks.size, System.nanoTime() - t0)
   }
 }

@@ -40,14 +40,12 @@ class CiaoDataSourceSpec extends SparkSpec {
 
   private def ciao(dir: String): DataFrame = spark.read.format("ciao").load(dir)
 
-  /** The fully parsed table (ground truth side for the oracle). */
+  /** The fully parsed table (ground truth side for the oracle), read by
+    * Spark's own JSON reader so it shares no code with the loader.
+    */
   private def fullDf(ds: JsonDatasets.Dataset): DataFrame = {
-    import scala.jdk.CollectionConverters._
-    val rows = ds.lines.map { l =>
-      val arr = TableSchema.extractRow(ds.schema, repro.json.JsonParser.parseObject(l))
-      org.apache.spark.sql.Row.fromSeq(arr.toIndexedSeq)
-    }
-    spark.createDataFrame(rows.asJava, CiaoDataSource.sparkSchema(ds.schema))
+    import spark.implicits._
+    spark.read.schema(CiaoDataSource.sparkSchema(ds.schema)).json(ds.lines.toDS())
   }
 
   test("schema inference matches the store schema") {
@@ -134,6 +132,41 @@ class CiaoDataSourceSpec extends SparkSpec {
     val noSkip   = emitted(Array.empty)
     val withSkip = emitted(Array(0))
     assert(withSkip < noSkip)
+  }
+
+  test("parquet reader over several batches emits exactly the rows whose ANDed bits are set") {
+    val ds     = JsonDatasets.yelp(9000, seed = 7)
+    val dir    = tmpDir("ciao-batches")
+    val clause = Clause(KeyValueMatch("stars", "5"))
+    val chunks = ClientFilter.chunk(ds.lines, ds.lines.size) // one file of >2 vectorized batches
+    val bits   = chunks.map(ClientFilter.chunkBits(_, Seq(0 -> clause)))
+    PartialLoader.loadFull(dir, ds.schema, chunks, bits, ChunkStore.Registry(Vector(ChunkStore.RegEntry(0, clause, 0.2, 0.1))))
+    val cf       = ChunkStore.listChunks(dir).head
+    val combined = DataSkipping.combinedBits(ChunkStore.readBits(cf.bits.get), Seq(0), ds.lines.size)
+    val reader   = new ParquetChunkReader(ParquetChunkPartition(cf.parquet.get, cf.bits, Array(0), ds.schema))
+    val types    = CiaoDataSource.sparkSchema(ds.schema).map(_.dataType)
+    val emitted  = Vector.newBuilder[Seq[Any]]
+    try while (reader.next()) emitted += reader.get().copy().toSeq(types) finally reader.close()
+    val expected = ParquetIO.readChunk(cf.parquet.get, ds.schema).zipWithIndex
+      .collect { case (r, i) if combined.get(i) => r.toSeq(types) }
+    assert(emitted.result().size === combined.cardinality)
+    assert(emitted.result() === expected)
+  }
+
+  test("a sidecar shorter than its parquet chunk fails the scan loudly") {
+    val ds  = JsonDatasets.yelp(1000, seed = 3)
+    val dir = tmpDir("ciao-short-bits")
+    val clause   = Clause(KeyValueMatch("stars", "5"))
+    val registry = ChunkStore.Registry(Vector(ChunkStore.RegEntry(0, clause, 0.2, 0.1)))
+    val chunks   = ClientFilter.chunk(ds.lines, 500)
+    PartialLoader.loadFull(dir, ds.schema, chunks, chunks.map(ClientFilter.chunkBits(_, Seq(0 -> clause))), registry)
+    val bitsPath = ChunkStore.listChunks(dir).head.bits.get
+    ChunkStore.writeBits(bitsPath, ChunkStore.readBits(bitsPath).map { case (id, bv) =>
+      id -> bv.compact(0 until bv.nBits - 10)
+    })
+    val e = intercept[Exception](ciao(dir).where("stars = 5").count())
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .exists(_.isInstanceOf[IllegalStateException]), e)
   }
 
   test("missing path option fails loudly") {

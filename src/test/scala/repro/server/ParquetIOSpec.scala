@@ -2,41 +2,55 @@ package repro.server
 
 import java.nio.file.Files
 
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
+import org.apache.spark.unsafe.types.UTF8String
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.datasource.CiaoDataSource
 import repro.json.JsonParser
 import TableSchema._
 
-/** Parquet Group-API chunk IO: write/read round-trips, nulls, ordering. */
+/** Parquet chunk IO through Spark's writer and vectorized reader:
+  * write/read round-trips, nulls, ordering across batches.
+  */
 class ParquetIOSpec extends AnyFunSuite {
 
   private val schema = TableSchema(Vector(
     Col("s", CString), Col("l", CLong), Col("d", CDouble), Col("b", CBool)))
+  private val types = CiaoDataSource.sparkSchema(schema).map(_.dataType)
 
   private def tmpFile(): String =
     Files.createTempDirectory("pio").resolve("c.parquet").toString
 
+  private def row(vs: Any*): InternalRow =
+    new GenericInternalRow(vs.map {
+      case s: String => UTF8String.fromString(s)
+      case other     => other
+    }.toArray)
+
+  private def values(r: InternalRow): Seq[Any] = r.toSeq(types)
+
   test("round-trips typed rows in order") {
-    val rows: Vector[Array[Any]] = Vector(
-      Array[Any]("alpha", java.lang.Long.valueOf(1L), java.lang.Double.valueOf(1.5), java.lang.Boolean.TRUE),
-      Array[Any]("beta", java.lang.Long.valueOf(-7L), java.lang.Double.valueOf(0.0), java.lang.Boolean.FALSE),
-      Array[Any]("gamma", java.lang.Long.valueOf(99L), java.lang.Double.valueOf(-2.25), java.lang.Boolean.TRUE))
+    val rows = Vector(
+      row("alpha", 1L, 1.5, true),
+      row("beta", -7L, 0.0, false),
+      row("gamma", 99L, -2.25, true))
     val path = tmpFile()
     ParquetIO.writeChunk(path, schema, rows)
     val got = ParquetIO.readChunk(path, schema)
-    assert(got.size === 3)
-    got.zip(rows).foreach { case (g, e) => assert(g.toSeq === e.toSeq) }
+    assert(got.map(values) === rows.map(values))
   }
 
   test("round-trips nulls in any column") {
-    val rows: Vector[Array[Any]] = Vector(
-      Array[Any](null, java.lang.Long.valueOf(1L), null, java.lang.Boolean.TRUE),
-      Array[Any]("x", null, java.lang.Double.valueOf(2.0), null))
+    val rows = Vector(
+      row(null, 1L, null, true),
+      row("x", null, 2.0, null),
+      row(null, null, null, null))
     val path = tmpFile()
     ParquetIO.writeChunk(path, schema, rows)
     val got = ParquetIO.readChunk(path, schema)
-    assert(got(0).toSeq === rows(0).toSeq)
-    assert(got(1).toSeq === rows(1).toSeq)
+    assert(got.map(values) === rows.map(values))
   }
 
   test("round-trips an empty chunk") {
@@ -46,42 +60,34 @@ class ParquetIOSpec extends AnyFunSuite {
   }
 
   test("round-trips unicode and special characters in strings") {
-    val rows: Vector[Array[Any]] = Vector(
-      Array[Any]("héllo wörld ✓", java.lang.Long.valueOf(0L), java.lang.Double.valueOf(0), java.lang.Boolean.TRUE),
-      Array[Any]("quotes \" and \\ slashes", java.lang.Long.valueOf(0L), java.lang.Double.valueOf(0), java.lang.Boolean.FALSE))
+    val rows = Vector(
+      row("héllo wörld ✓", 0L, 0.0, true),
+      row("quotes \" and \\ slashes", 0L, 0.0, false))
     val path = tmpFile()
     ParquetIO.writeChunk(path, schema, rows)
     val got = ParquetIO.readChunk(path, schema)
-    assert(got.map(_(0)) === rows.map(_(0)))
+    assert(got.map(_.getUTF8String(0).toString) === Vector("héllo wörld ✓", "quotes \" and \\ slashes"))
   }
 
-  test("streaming reader yields the same rows as eager read") {
-    val rows = Vector.tabulate(500) { i =>
-      Array[Any](s"row$i", java.lang.Long.valueOf(i.toLong), java.lang.Double.valueOf(i / 2.0),
-        java.lang.Boolean.valueOf(i % 2 == 0))
-    }
+  test("multi-batch read returns distinct rows in write order") {
+    val n    = 10000 // more than two vectorized batches of 4096 rows
+    val rows = Vector.tabulate(n)(i => row(s"row$i", i.toLong, i / 2.0, i % 2 == 0))
     val path = tmpFile()
     ParquetIO.writeChunk(path, schema, rows)
-    val it  = new ParquetIO.ChunkRows(path, schema)
-    val got = try it.toVector finally it.close()
-    assert(got.size === 500)
-    assert(got(123).toSeq === rows(123).toSeq)
+    val got = ParquetIO.readChunk(path, schema)
+    assert(got.size === n)
+    assert(got.map(_.getLong(1)) === Vector.tabulate(n)(_.toLong))
+    assert(got.map(values) === rows.map(values))
   }
 
   test("extractRow maps JSON fields by name and type") {
     val obj = JsonParser.parseObject("""{"l":42,"s":"hi","b":false,"d":2.5,"extra":1}""")
     val row = TableSchema.extractRow(schema, obj)
-    assert(row.toSeq === Seq("hi", 42L, 2.5, false))
+    assert(values(row) === Seq(UTF8String.fromString("hi"), 42L, 2.5, false))
   }
 
   test("extractRow nulls missing and type-mismatched fields") {
     val obj = TableSchema.extractRow(schema, JsonParser.parseObject("""{"s":5,"l":"x","d":true}"""))
-    assert(obj.toSeq === Seq(null, null, null, null))
-  }
-
-  test("messageType declares one optional field per column") {
-    val mt = ParquetIO.messageType(schema)
-    assert(mt.getFieldCount === 4)
-    schema.cols.foreach(c => assert(mt.containsField(c.name)))
+    assert(values(obj) === Seq(null, null, null, null))
   }
 }
