@@ -14,13 +14,11 @@ object ClientFilter {
 
   /** Evaluate one atom against one raw JSON line using only string search. */
   def matchAtom(line: String, atom: Atom): Boolean = atom match {
-    case ExactMatch(_, value)    => line.indexOf("\"" + value + "\"") >= 0
-    case SubstringMatch(_, value) => line.indexOf(value) >= 0
-    case KeyPresence(attr)       => line.indexOf("\"" + attr + "\"") >= 0
-    case KeyValueMatch(attr, lit) =>
+    case kv: KeyValueMatch =>
       // Search the quoted key; if found, look for the literal between the
       // key and the next field delimiter (',' or the closing '}').
-      val keyPat = "\"" + attr + "\""
+      val keyPat = kv.patterns(0)
+      val lit    = kv.patterns(1)
       var from   = 0
       var found  = false
       while (!found && from <= line.length) {
@@ -38,6 +36,7 @@ object ClientFilter {
         }
       }
       found
+    case _: ExactMatch | _: SubstringMatch | _: KeyPresence => line.indexOf(atom.patterns.head) >= 0
   }
 
   /** Evaluate a disjunctive clause: OR over its atoms. */

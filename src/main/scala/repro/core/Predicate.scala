@@ -14,11 +14,11 @@ sealed trait Atom {
   /** Attribute (JSON key) the predicate refers to. */
   def attr: String
 
-  /** Pattern strings the client searches for, exactly as in Table I.
+  /** Pattern strings the client searches for, exactly as in Table I, built once.
     * String values appear quoted in the raw JSON text, so the pattern for an
     * exact match of `name = "Bob"` is `"Bob"` *including* the quotes.
     */
-  def patterns: Seq[String]
+  val patterns: Seq[String]
 
   /** SQL rendering usable both by Spark (`where(expr(...))`) and DuckDB. */
   def sql: String
@@ -34,7 +34,7 @@ sealed trait Atom {
 
 /** `attr = 'value'` on a string attribute; pattern = the quoted operand. */
 final case class ExactMatch(attr: String, value: String) extends Atom {
-  def patterns: Seq[String] = Seq("\"" + value + "\"")
+  val patterns: Seq[String] = Seq("\"" + value + "\"")
   def sql: String           = s"$attr = '${value.replace("'", "''")}'"
   def evalParsed(obj: JObj): Boolean = obj.get(attr).contains(JStr(value))
   def canonical: String     = s"exact:$attr=$value"
@@ -42,7 +42,7 @@ final case class ExactMatch(attr: String, value: String) extends Atom {
 
 /** `attr LIKE '%value%'`; pattern = the raw substring. */
 final case class SubstringMatch(attr: String, value: String) extends Atom {
-  def patterns: Seq[String] = Seq(value)
+  val patterns: Seq[String] = Seq(value)
   def sql: String           = s"$attr LIKE '%${value.replace("'", "''")}%'"
   def evalParsed(obj: JObj): Boolean = obj.get(attr) match {
     case Some(JStr(s)) => s.contains(value)
@@ -53,7 +53,7 @@ final case class SubstringMatch(attr: String, value: String) extends Atom {
 
 /** `attr IS NOT NULL`; pattern = the quoted key. */
 final case class KeyPresence(attr: String) extends Atom {
-  def patterns: Seq[String] = Seq("\"" + attr + "\"")
+  val patterns: Seq[String] = Seq("\"" + attr + "\"")
   def sql: String           = s"$attr IS NOT NULL"
   def evalParsed(obj: JObj): Boolean = obj.get(attr).exists(_ != JNull)
   def canonical: String     = s"present:$attr"
@@ -64,7 +64,7 @@ final case class KeyPresence(attr: String) extends Atom {
   * (paper §IV-B "Key-value match").
   */
 final case class KeyValueMatch(attr: String, literal: String) extends Atom {
-  def patterns: Seq[String] = Seq("\"" + attr + "\"", literal)
+  val patterns: Seq[String] = Seq("\"" + attr + "\"", literal)
   def sql: String           = s"$attr = $literal"
   def evalParsed(obj: JObj): Boolean = obj.get(attr) match {
     case Some(JNum(raw)) => raw == literal || (raw.toDouble == scala.util.Try(literal.toDouble).getOrElse(Double.NaN))

@@ -32,20 +32,31 @@ class CiaoDataSource extends TableProvider with DataSourceRegister {
 
   override def supportsExternalMetadata(): Boolean = true
 
+  /** One provider serves one `load()`: `inferSchema` and `getTable` share the manifest it reads. */
+  private var opened: (String, ChunkStore.Manifest) = (null, null)
+  private def manifest(dir: String): ChunkStore.Manifest = {
+    if (opened._1 != dir) opened = (dir, ChunkStore.readManifest(dir))
+    opened._2
+  }
+
   override def inferSchema(options: CaseInsensitiveStringMap): StructType =
-    CiaoDataSource.sparkSchema(ChunkStore.readSchema(CiaoDataSource.dirFrom(options)))
+    CiaoDataSource.sparkSchema(manifest(CiaoDataSource.dirFrom(options)).schema)
 
   override def getTable(schema: StructType, partitioning: Array[Transform], properties: JMap[String, String]): Table = {
-    val dir = Option(properties.get("path"))
-      .getOrElse(throw new IllegalArgumentException("ciao source requires a path option"))
-    new CiaoTable(dir, schema)
+    val dir = CiaoDataSource.dirFrom(properties)
+    new CiaoTable(dir, schema, manifest(dir))
   }
 }
 
 object CiaoDataSource {
-  def dirFrom(options: CaseInsensitiveStringMap): String =
+  def dirFrom(options: JMap[String, String]): String =
     Option(options.get("path"))
       .getOrElse(throw new IllegalArgumentException("ciao source requires a path option"))
+
+  /** Fail the scan when a chunk file holds another row count than the manifest records. */
+  private[datasource] def requireRows(path: String, found: Long, recorded: Long): Unit =
+    if (found != recorded)
+      throw new IllegalStateException(s"$path holds $found rows but the store manifest records $recorded")
 
   /** Map the store schema to a Spark schema (all columns nullable). */
   def sparkSchema(schema: TableSchema): StructType =
@@ -60,26 +71,25 @@ object CiaoDataSource {
     })
 }
 
-/** Batch-readable table over one CIAO store directory. */
-class CiaoTable(dir: String, schema: StructType) extends Table with SupportsRead {
+/** Batch-readable table over one CIAO store directory; every query plans from `manifest`. */
+class CiaoTable(dir: String, schema: StructType, manifest: ChunkStore.Manifest) extends Table with SupportsRead {
   override def name(): String = s"ciao:$dir"
   override def schema(): StructType = schema
   override def capabilities(): java.util.Set[TableCapability] =
     java.util.EnumSet.of(TableCapability.BATCH_READ)
   override def newScanBuilder(options: CaseInsensitiveStringMap): ScanBuilder =
-    new CiaoScanBuilder(dir, schema)
+    new CiaoScanBuilder(dir, schema, manifest)
 }
 
 /** Scan builder holding the filter-pushdown negotiation with Catalyst. */
-class CiaoScanBuilder(dir: String, schema: StructType)
+class CiaoScanBuilder(dir: String, schema: StructType, manifest: ChunkStore.Manifest)
     extends ScanBuilder with SupportsPushDownFilters {
 
   private var matchedIds: Array[Int]        = Array.empty
   private var matchedFilters: Array[Filter] = Array.empty
 
   override def pushFilters(filters: Array[Filter]): Array[Filter] = {
-    val registry = ChunkStore.readRegistry(dir)
-    val (ids, hit) = DataSkipping.matchPushed(filters.toSeq, registry)
+    val (ids, hit) = DataSkipping.matchPushed(filters.toSeq, manifest.registry)
     matchedIds = ids.toArray
     matchedFilters = hit.toArray
     // Everything is residual: client string matching has false positives,
@@ -90,11 +100,12 @@ class CiaoScanBuilder(dir: String, schema: StructType)
   /** The filters the scan *uses* (for skipping) — surfaces in EXPLAIN. */
   override def pushedFilters(): Array[Filter] = matchedFilters
 
-  override def build(): Scan = new CiaoScan(dir, schema, matchedIds)
+  override def build(): Scan = new CiaoScan(dir, schema, manifest, matchedIds)
 }
 
 /** The scan: one input partition per chunk file. */
-class CiaoScan(dir: String, schema: StructType, matchedIds: Array[Int]) extends Scan with Batch {
+class CiaoScan(dir: String, schema: StructType, manifest: ChunkStore.Manifest, matchedIds: Array[Int])
+    extends Scan with Batch {
 
   override def readSchema(): StructType = schema
   override def toBatch: Batch = this
@@ -102,33 +113,31 @@ class CiaoScan(dir: String, schema: StructType, matchedIds: Array[Int]) extends 
     s"CiaoScan(dir=$dir, skippingPredicates=${matchedIds.mkString("[", ",", "]")})"
 
   override def planInputPartitions(): Array[InputPartition] = {
-    val chunks      = ChunkStore.listChunks(dir)
-    val tableSchema = ChunkStore.readSchema(dir)
-    val parquetParts: Array[InputPartition] = chunks.flatMap { c =>
-      c.parquet.map(p => ParquetChunkPartition(p, c.bits, matchedIds, tableSchema): InputPartition)
-    }.toArray
-    if (matchedIds.nonEmpty) parquetParts
-    else {
-      // No pushed predicate in this query: raw JSON must be scanned too.
-      val rawParts: Array[InputPartition] =
-        chunks.flatMap(c => c.raw.map(p => RawChunkPartition(p, tableSchema): InputPartition)).toArray
-      parquetParts ++ rawParts
+    val chunks  = manifest.chunks.map(c => (c, c.files(dir)))
+    val parquet = chunks.flatMap { case (c, f) =>
+      f.parquet.map(ParquetChunkPartition(_, c.loadedRows, f.bits, matchedIds, manifest.schema))
     }
+    // No pushed predicate in this query: raw JSON must be scanned too.
+    val raw = if (matchedIds.nonEmpty) Vector.empty else chunks.flatMap { case (c, f) =>
+      f.raw.map(RawChunkPartition(_, c.rawRows, manifest.schema))
+    }
+    (parquet ++ raw).toArray[InputPartition]
   }
 
   override def createReaderFactory(): PartitionReaderFactory = new CiaoReaderFactory
 }
 
-/** A loaded Parquet chunk (+ optional sidecar bit-vectors). */
+/** A loaded Parquet chunk of `rows` rows (+ optional sidecar bit-vectors). */
 final case class ParquetChunkPartition(
     parquetPath: String,
+    rows: Long,
     bitsPath: Option[String],
     skipIds: Array[Int],
     tableSchema: TableSchema,
 ) extends InputPartition
 
-/** An unloaded raw-JSON chunk, parsed just-in-time. */
-final case class RawChunkPartition(rawPath: String, tableSchema: TableSchema) extends InputPartition
+/** An unloaded raw-JSON chunk of `rows` lines, parsed just-in-time. */
+final case class RawChunkPartition(rawPath: String, rows: Long, tableSchema: TableSchema) extends InputPartition
 
 class CiaoReaderFactory extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] =
@@ -144,6 +153,8 @@ class CiaoReaderFactory extends PartitionReaderFactory {
   */
 class ParquetChunkReader(p: ParquetChunkPartition) extends PartitionReader[InternalRow] {
   private val reader = new ParquetIO.BatchReader(p.parquetPath, p.tableSchema)
+  try CiaoDataSource.requireRows(p.parquetPath, reader.rowCount, p.rows)
+  catch { case e: IllegalStateException => reader.close(); throw e }
   private val batch  = reader.resultBatch()
   private val combined: Option[BitVec] =
     if (p.skipIds.isEmpty) None
@@ -172,7 +183,11 @@ class ParquetChunkReader(p: ParquetChunkPartition) extends PartitionReader[Inter
 
 /** Parses one `.raw` JSON chunk just-in-time and emits every object. */
 class RawChunkReader(p: RawChunkPartition) extends PartitionReader[InternalRow] {
-  private val lines   = ChunkStore.readRawLines(p.rawPath).iterator
+  private val lines = {
+    val all = ChunkStore.readRawLines(p.rawPath)
+    CiaoDataSource.requireRows(p.rawPath, all.size.toLong, p.rows)
+    all.iterator
+  }
   private var current: InternalRow = _
 
   override def next(): Boolean = {

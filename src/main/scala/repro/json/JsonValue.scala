@@ -29,7 +29,7 @@ final case class JBool(value: Boolean) extends JsonValue
   */
 final case class JNum(raw: String) extends JsonValue {
   def toDouble: Double = raw.toDouble
-  def toLong: Long     = math.round(raw.toDouble)
+  def toLong: Long     = raw.toLong // exact: throws unless the lexeme is an integer that fits
 }
 
 /** JSON string. */

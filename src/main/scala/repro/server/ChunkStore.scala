@@ -1,8 +1,11 @@
 package repro.server
 
-import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, File, FileInputStream, FileOutputStream}
+import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, FileInputStream, FileOutputStream}
 import java.nio.charset.StandardCharsets
-import java.nio.file.{Files, Paths}
+import java.nio.file.{Files, Paths, StandardCopyOption}
+import java.util.Comparator
+
+import scala.util.Using
 
 import repro.core._
 import repro.json._
@@ -10,16 +13,17 @@ import repro.json._
 /** On-disk layout of a CIAO store (one per loaded dataset):
   *
   * {{{
-  * <dir>/registry.json          pushed predicates: id, clause, sel, cost
-  * <dir>/schema.json            flat column schema of the Parquet chunks
-  * <dir>/chunks/chunk-00000.parquet   loaded tuples (may be absent if none)
+  * <dir>/manifest.json                schema, pushed predicates, chunk row counts
+  * <dir>/chunks/chunk-00000.parquet   loaded tuples (absent if none)
   * <dir>/chunks/chunk-00000.bits      sidecar bit-vectors over loaded rows
-  * <dir>/chunks/chunk-00000.raw       unloaded raw JSON lines (may be absent)
+  * <dir>/chunks/chunk-00000.raw       unloaded raw JSON lines (absent if none)
   * }}}
   *
-  * `registry.json` is the paper's "predicate hashmap" (Fig. 2): it maps each
-  * pushed-down predicate to its id, so the query path can translate Spark
-  * filters to sidecar bit-vector ids.
+  * `manifest.json` is the store's only index. Its registry is the paper's
+  * "predicate hashmap" (Fig. 2): it maps each pushed-down predicate to its
+  * id, so the query path can translate Spark filters to sidecar bit-vector
+  * ids. The loader writes it last, with an atomic rename, so a load that did
+  * not finish leaves no manifest and every reader refuses the store.
   */
 object ChunkStore {
   import TableSchema._
@@ -34,8 +38,20 @@ object ChunkStore {
     def isEmpty: Boolean = entries.isEmpty
   }
 
-  def registryPath(dir: String): String = s"$dir/registry.json"
-  def schemaPath(dir: String): String   = s"$dir/schema.json"
+  /** One chunk as the manifest records it: the row counts of its Parquet and `.raw` files (each
+    * written only when its count is positive), and whether a sidecar was written.
+    */
+  final case class ChunkEntry(id: Int, loadedRows: Long, rawRows: Long, bits: Boolean) {
+    def files(dir: String): ChunkFiles = ChunkFiles(id,
+      Option.when(loadedRows > 0)(parquetPath(dir, id)),
+      Option.when(bits)(bitsPath(dir, id)),
+      Option.when(rawRows > 0)(rawPath(dir, id)))
+  }
+
+  /** Contents of `manifest.json`. */
+  final case class Manifest(schema: TableSchema, registry: Registry, chunks: Vector[ChunkEntry])
+
+  def manifestPath(dir: String): String = s"$dir/manifest.json"
   def chunksDir(dir: String): String    = s"$dir/chunks"
   def parquetPath(dir: String, i: Int): String = f"${chunksDir(dir)}/chunk-$i%05d.parquet"
   def bitsPath(dir: String, i: Int): String    = f"${chunksDir(dir)}/chunk-$i%05d.bits"
@@ -46,108 +62,76 @@ object ChunkStore {
 
   /** Wipe and (re-)create the store directory skeleton. */
   def init(dir: String): Unit = {
-    val d = new File(dir)
-    if (d.exists()) deleteRecursively(d)
+    if (Files.exists(Paths.get(dir)))
+      Using.resource(Files.walk(Paths.get(dir)))(_.sorted(Comparator.reverseOrder()).forEach(Files.delete(_)))
     Files.createDirectories(Paths.get(chunksDir(dir)))
     ()
   }
 
-  private def deleteRecursively(f: File): Unit = {
-    if (f.isDirectory) Option(f.listFiles()).foreach(_.foreach(deleteRecursively))
-    f.delete()
-    ()
-  }
+  def readSchema(dir: String): TableSchema     = readManifest(dir).schema
+  def readRegistry(dir: String): Registry      = readManifest(dir).registry
+  def listChunks(dir: String): Vector[ChunkFiles] = readManifest(dir).chunks.map(_.files(dir))
 
-  /** Enumerate chunks by id from the files present in `chunks/`. */
-  def listChunks(dir: String): Vector[ChunkFiles] = {
-    val d     = new File(chunksDir(dir))
-    val files = Option(d.listFiles()).getOrElse(Array.empty[File]).map(_.getName)
-    val ids   = files.flatMap { n =>
-      "chunk-(\\d+)\\.(parquet|bits|raw)".r.findFirstMatchIn(n).map(_.group(1).toInt)
-    }.distinct.sorted
-    ids.toVector.map { i =>
-      def opt(p: String) = if (new File(p).exists()) Some(p) else None
-      ChunkFiles(i, opt(parquetPath(dir, i)), opt(bitsPath(dir, i)), opt(rawPath(dir, i)))
-    }
-  }
+  // ---- manifest codec (manifest.json) ----
 
-  // ---- atom/clause JSON codecs (registry.json) ----
+  private val typeNames: Map[ColType, String] =
+    Map(CString -> "string", CLong -> "long", CDouble -> "double", CBool -> "boolean")
 
-  private def atomToJson(a: Atom): JObj = a match {
-    case ExactMatch(attr, v)    => JObj(Vector("kind" -> JStr("exact"), "attr" -> JStr(attr), "value" -> JStr(v)))
-    case SubstringMatch(attr, v) => JObj(Vector("kind" -> JStr("substr"), "attr" -> JStr(attr), "value" -> JStr(v)))
-    case KeyPresence(attr)      => JObj(Vector("kind" -> JStr("present"), "attr" -> JStr(attr)))
-    case KeyValueMatch(attr, l) => JObj(Vector("kind" -> JStr("kv"), "attr" -> JStr(attr), "value" -> JStr(l)))
-  }
+  private def num(x: Any): JNum = JNum(x.toString)
 
-  private def atomFromJson(o: JObj): Atom = {
-    def str(k: String) = o(k).asInstanceOf[JStr].value
-    str("kind") match {
-      case "exact"   => ExactMatch(str("attr"), str("value"))
-      case "substr"  => SubstringMatch(str("attr"), str("value"))
-      case "present" => KeyPresence(str("attr"))
-      case "kv"      => KeyValueMatch(str("attr"), str("value"))
-      case k         => throw new IllegalArgumentException(s"unknown atom kind '$k'")
-    }
-  }
+  private def atomToJson(a: Atom): JObj = JObj(a match {
+    case ExactMatch(attr, v)     => Vector("kind" -> JStr("exact"), "attr" -> JStr(attr), "value" -> JStr(v))
+    case SubstringMatch(attr, v) => Vector("kind" -> JStr("substr"), "attr" -> JStr(attr), "value" -> JStr(v))
+    case KeyPresence(attr)       => Vector("kind" -> JStr("present"), "attr" -> JStr(attr))
+    case KeyValueMatch(attr, l)  => Vector("kind" -> JStr("kv"), "attr" -> JStr(attr), "value" -> JStr(l))
+  })
 
-  def writeRegistry(dir: String, registry: Registry): Unit = {
+  /** Write the manifest via a temporary file and an atomic rename: readers see none or all of it. */
+  def writeManifest(dir: String, m: Manifest): Unit = {
     val json = JObj(Vector(
-      "predicates" -> JArr(registry.entries.map { e =>
-        JObj(Vector(
-          "id"    -> JNum(e.id.toString),
-          "sel"   -> JNum(e.sel.toString),
-          "cost"  -> JNum(e.cost.toString),
-          "atoms" -> JArr(e.clause.atoms.map(a => atomToJson(a): JsonValue)),
-        )): JsonValue
+      "cols" -> JArr(m.schema.cols.map(c => JObj(Vector("name" -> JStr(c.name), "type" -> JStr(typeNames(c.tpe)))))),
+      "predicates" -> JArr(m.registry.entries.map { e =>
+        JObj(Vector("id" -> num(e.id), "sel" -> num(e.sel), "cost" -> num(e.cost),
+          "atoms" -> JArr(e.clause.atoms.map(atomToJson))))
+      }),
+      "chunks" -> JArr(m.chunks.map { c =>
+        JObj(Vector("id" -> num(c.id), "loaded" -> num(c.loadedRows), "raw" -> num(c.rawRows), "bits" -> JBool(c.bits)))
       }),
     ))
-    Files.write(Paths.get(registryPath(dir)), json.render.getBytes(StandardCharsets.UTF_8))
+    val tmp = Paths.get(manifestPath(dir) + ".tmp")
+    Files.write(tmp, json.render.getBytes(StandardCharsets.UTF_8))
+    Files.move(tmp, Paths.get(manifestPath(dir)), StandardCopyOption.ATOMIC_MOVE)
     ()
   }
 
-  def readRegistry(dir: String): Registry = {
-    val text = new String(Files.readAllBytes(Paths.get(registryPath(dir))), StandardCharsets.UTF_8)
-    val root = JsonParser.parseObject(text)
-    val entries = root("predicates").asInstanceOf[JArr].items.map { e =>
-      val o     = e.asInstanceOf[JObj]
-      val atoms = o("atoms").asInstanceOf[JArr].items.map(a => atomFromJson(a.asInstanceOf[JObj]))
-      RegEntry(
-        id     = o("id").asInstanceOf[JNum].toLong.toInt,
-        clause = Clause(atoms.toVector),
-        sel    = o("sel").asInstanceOf[JNum].toDouble,
-        cost   = o("cost").asInstanceOf[JNum].toDouble,
-      )
+  /** Read the manifest; a store without one (its load never finished) fails with `IllegalStateException`. */
+  def readManifest(dir: String): Manifest = {
+    val path = Paths.get(manifestPath(dir))
+    if (!Files.exists(path)) throw new IllegalStateException(s"$dir is not a complete CIAO store: $path is missing")
+    val root = JsonParser.parseObject(new String(Files.readAllBytes(path), StandardCharsets.UTF_8))
+    def objs(o: JObj, k: String): Vector[JObj] = o(k).asInstanceOf[JArr].items.map(_.asInstanceOf[JObj])
+    def str(o: JObj, k: String): String = o(k).asInstanceOf[JStr].value
+    def long(o: JObj, k: String): Long  = o(k).asInstanceOf[JNum].toLong
+    def dbl(o: JObj, k: String): Double = o(k).asInstanceOf[JNum].toDouble
+    def atom(o: JObj): Atom = str(o, "kind") match {
+      case "exact"   => ExactMatch(str(o, "attr"), str(o, "value"))
+      case "substr"  => SubstringMatch(str(o, "attr"), str(o, "value"))
+      case "present" => KeyPresence(str(o, "attr"))
+      case "kv"      => KeyValueMatch(str(o, "attr"), str(o, "value"))
+      case k         => throw new IllegalArgumentException(s"unknown atom kind '$k'")
     }
-    Registry(entries.toVector)
-  }
-
-  // ---- schema codec (schema.json) ----
-
-  private def typeName(t: ColType): String = t match {
-    case CString => "string"; case CLong => "long"; case CDouble => "double"; case CBool => "boolean"
-  }
-  private def typeOf(n: String): ColType = n match {
-    case "string" => CString; case "long" => CLong; case "double" => CDouble; case "boolean" => CBool
-    case other    => throw new IllegalArgumentException(s"unknown column type '$other'")
-  }
-
-  def writeSchema(dir: String, schema: TableSchema): Unit = {
-    val json = JObj(Vector(
-      "cols" -> JArr(schema.cols.map(c =>
-        JObj(Vector("name" -> JStr(c.name), "type" -> JStr(typeName(c.tpe)))): JsonValue)),
-    ))
-    Files.write(Paths.get(schemaPath(dir)), json.render.getBytes(StandardCharsets.UTF_8))
-    ()
-  }
-
-  def readSchema(dir: String): TableSchema = {
-    val text = new String(Files.readAllBytes(Paths.get(schemaPath(dir))), StandardCharsets.UTF_8)
-    val root = JsonParser.parseObject(text)
-    TableSchema(root("cols").asInstanceOf[JArr].items.map { c =>
-      val o = c.asInstanceOf[JObj]
-      Col(o("name").asInstanceOf[JStr].value, typeOf(o("type").asInstanceOf[JStr].value))
-    }.toVector)
+    val typeOf = typeNames.map(_.swap)
+    Manifest(
+      TableSchema(objs(root, "cols").map { c =>
+        Col(str(c, "name"), typeOf.getOrElse(str(c, "type"),
+          throw new IllegalArgumentException(s"unknown column type '${str(c, "type")}'")))
+      }),
+      Registry(objs(root, "predicates").map { e =>
+        RegEntry(long(e, "id").toInt, Clause(objs(e, "atoms").map(atom)), dbl(e, "sel"), dbl(e, "cost"))
+      }),
+      objs(root, "chunks").map { c =>
+        ChunkEntry(long(c, "id").toInt, long(c, "loaded"), long(c, "raw"), c("bits").asInstanceOf[JBool].value)
+      })
   }
 
   // ---- sidecar bit-vector IO ----

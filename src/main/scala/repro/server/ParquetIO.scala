@@ -32,14 +32,14 @@ object TableSchema {
 
   final case class Col(name: String, tpe: ColType) extends Serializable
 
-  /** Extract the schema's columns from a parsed JSON object; absent or
-    * type-mismatched fields become null (JSON is schemaless on the wire).
+  /** Extract the schema's columns from a parsed JSON object; absent or type-mismatched
+    * fields, and numbers a long column cannot hold exactly, become null.
     */
   def extractRow(schema: TableSchema, obj: JObj): GenericInternalRow =
     new GenericInternalRow(schema.cols.map { col =>
       (obj.get(col.name), col.tpe) match {
         case (Some(JStr(s)), CString)  => UTF8String.fromString(s)
-        case (Some(n: JNum), CLong)    => n.toLong
+        case (Some(JNum(raw)), CLong)  => raw.toLongOption.getOrElse(null)
         case (Some(n: JNum), CDouble)  => n.toDouble
         case (Some(JBool(b)), CBool)   => b
         case _                         => null

@@ -55,21 +55,15 @@ object PartialLoader {
     require(chunks.size == bitsPerChunk.size,
       s"chunk/bits count mismatch: ${chunks.size} vs ${bitsPerChunk.size}")
     ChunkStore.init(dir)
-    ChunkStore.writeSchema(dir, schema)
-    ChunkStore.writeRegistry(dir, registry)
 
     val t0 = System.nanoTime()
-    var total  = 0L
-    var loaded = 0L
-    chunks.indices.foreach { i =>
+    val entries = chunks.indices.map { i =>
       val lines = chunks(i)
       val bits  = bitsPerChunk(i)
-      total += lines.size
       val mask =
         if (loadAll || bits.isEmpty) BitVec.full(lines.size) // full load, or nothing pushed
         else BitVec.unionAll(lines.size, bits.values.toSeq)
       val loadedPos = mask.setBits
-      loaded += loadedPos.size
 
       if (loadedPos.nonEmpty) {
         val rows = loadedPos.iterator.map { p =>
@@ -84,7 +78,12 @@ object PartialLoader {
         val rawLines = lines.indices.filterNot(mask.get).map(lines)
         ChunkStore.writeRawLines(ChunkStore.rawPath(dir, i), rawLines)
       }
+      ChunkStore.ChunkEntry(i, loadedPos.size.toLong, (lines.size - loadedPos.size).toLong,
+        bits = loadedPos.nonEmpty && bits.nonEmpty)
     }
-    LoadStats(total, loaded, chunks.size, System.nanoTime() - t0)
+    // Written last: the manifest is what makes the chunk files a store.
+    ChunkStore.writeManifest(dir, ChunkStore.Manifest(schema, registry, entries.toVector))
+    LoadStats(entries.map(e => e.loadedRows + e.rawRows).sum, entries.map(_.loadedRows).sum, chunks.size,
+      System.nanoTime() - t0)
   }
 }

@@ -1,6 +1,6 @@
 package repro.datasource
 
-import java.nio.file.Files
+import java.nio.file.{Files, Paths}
 
 import org.apache.spark.sql.DataFrame
 
@@ -39,6 +39,26 @@ class CiaoDataSourceSpec extends SparkSpec {
   }
 
   private def ciao(dir: String): DataFrame = spark.read.format("ciao").load(dir)
+
+  /** `body` throws, with an `IllegalStateException` somewhere in its cause chain. */
+  private def assertFailsLoudly(body: => Any): Unit = {
+    val e = intercept[Exception](body)
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .exists(_.isInstanceOf[IllegalStateException]), e)
+  }
+
+  /** A store of 1000 yelp rows in two chunks with `stars = 5` pushed, fully or partially loaded. */
+  private def smallStore(prefix: String, full: Boolean = true): (String, JsonDatasets.Dataset) = {
+    val ds  = JsonDatasets.yelp(1000, seed = 3)
+    val dir = tmpDir(prefix)
+    val clause   = Clause(KeyValueMatch("stars", "5"))
+    val registry = ChunkStore.Registry(Vector(ChunkStore.RegEntry(0, clause, 0.2, 0.1)))
+    val chunks   = ClientFilter.chunk(ds.lines, 500)
+    val bits     = chunks.map(ClientFilter.chunkBits(_, Seq(0 -> clause)))
+    if (full) PartialLoader.loadFull(dir, ds.schema, chunks, bits, registry)
+    else PartialLoader.loadPartial(dir, ds.schema, chunks, bits, registry)
+    (dir, ds)
+  }
 
   /** The fully parsed table (ground truth side for the oracle), read by
     * Spark's own JSON reader so it shares no code with the loader.
@@ -106,10 +126,9 @@ class CiaoDataSourceSpec extends SparkSpec {
 
   test("scan with a matched filter plans only parquet partitions") {
     val (dir, _, _) = fixture
-    val schema   = ChunkStore.readSchema(dir)
-    val registry = ChunkStore.readRegistry(dir)
-    val scanAll  = new CiaoScan(dir, CiaoDataSource.sparkSchema(schema), Array.empty)
-    val scanSkip = new CiaoScan(dir, CiaoDataSource.sparkSchema(schema), registry.ids.toArray)
+    val m        = ChunkStore.readManifest(dir)
+    val scanAll  = new CiaoScan(dir, CiaoDataSource.sparkSchema(m.schema), m, Array.empty)
+    val scanSkip = new CiaoScan(dir, CiaoDataSource.sparkSchema(m.schema), m, m.registry.ids.toArray)
     val allParts  = scanAll.planInputPartitions()
     val skipParts = scanSkip.planInputPartitions()
     assert(allParts.exists(_.isInstanceOf[RawChunkPartition]))
@@ -118,10 +137,10 @@ class CiaoDataSourceSpec extends SparkSpec {
   }
 
   test("row skipping reduces rows emitted by the parquet readers") {
-    val (dir, _, registry) = fixture
-    val schema = ChunkStore.readSchema(dir)
+    val (dir, _, _) = fixture
+    val m = ChunkStore.readManifest(dir)
     def emitted(ids: Array[Int]): Long = {
-      val scan = new CiaoScan(dir, CiaoDataSource.sparkSchema(schema), ids)
+      val scan = new CiaoScan(dir, CiaoDataSource.sparkSchema(m.schema), m, ids)
       scan.planInputPartitions().collect { case p: ParquetChunkPartition => p }.map { p =>
         val r = new ParquetChunkReader(p.copy(skipIds = ids))
         var n = 0L
@@ -143,7 +162,7 @@ class CiaoDataSourceSpec extends SparkSpec {
     PartialLoader.loadFull(dir, ds.schema, chunks, bits, ChunkStore.Registry(Vector(ChunkStore.RegEntry(0, clause, 0.2, 0.1))))
     val cf       = ChunkStore.listChunks(dir).head
     val combined = DataSkipping.combinedBits(ChunkStore.readBits(cf.bits.get), Seq(0), ds.lines.size)
-    val reader   = new ParquetChunkReader(ParquetChunkPartition(cf.parquet.get, cf.bits, Array(0), ds.schema))
+    val reader   = new ParquetChunkReader(ParquetChunkPartition(cf.parquet.get, ds.lines.size.toLong, cf.bits, Array(0), ds.schema))
     val types    = CiaoDataSource.sparkSchema(ds.schema).map(_.dataType)
     val emitted  = Vector.newBuilder[Seq[Any]]
     try while (reader.next()) emitted += reader.get().copy().toSeq(types) finally reader.close()
@@ -154,19 +173,42 @@ class CiaoDataSourceSpec extends SparkSpec {
   }
 
   test("a sidecar shorter than its parquet chunk fails the scan loudly") {
-    val ds  = JsonDatasets.yelp(1000, seed = 3)
-    val dir = tmpDir("ciao-short-bits")
-    val clause   = Clause(KeyValueMatch("stars", "5"))
-    val registry = ChunkStore.Registry(Vector(ChunkStore.RegEntry(0, clause, 0.2, 0.1)))
-    val chunks   = ClientFilter.chunk(ds.lines, 500)
-    PartialLoader.loadFull(dir, ds.schema, chunks, chunks.map(ClientFilter.chunkBits(_, Seq(0 -> clause))), registry)
+    val (dir, _) = smallStore("ciao-short-bits")
     val bitsPath = ChunkStore.listChunks(dir).head.bits.get
     ChunkStore.writeBits(bitsPath, ChunkStore.readBits(bitsPath).map { case (id, bv) =>
       id -> bv.compact(0 until bv.nBits - 10)
     })
-    val e = intercept[Exception](ciao(dir).where("stars = 5").count())
-    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
-      .exists(_.isInstanceOf[IllegalStateException]), e)
+    assertFailsLoudly(ciao(dir).where("stars = 5").count())
+  }
+
+  test("a parquet chunk with another row count than the manifest fails the scan loudly") {
+    val (dir, _) = smallStore("ciao-short-parquet")
+    val m        = ChunkStore.readManifest(dir)
+    ChunkStore.writeManifest(dir, m.copy(chunks = m.chunks.map(c => c.copy(loadedRows = c.loadedRows + 1))))
+    assertFailsLoudly(ciao(dir).count())
+  }
+
+  test("a raw chunk with another line count than the manifest fails the scan loudly") {
+    val (dir, _) = smallStore("ciao-short-raw", full = false)
+    val raw      = ChunkStore.listChunks(dir).flatMap(_.raw).head
+    ChunkStore.writeRawLines(raw, ChunkStore.readRawLines(raw).dropRight(1))
+    assertFailsLoudly(ciao(dir).count())
+  }
+
+  test("a store without a manifest fails to load") {
+    val (dir, _) = smallStore("ciao-no-manifest")
+    Files.delete(Paths.get(ChunkStore.manifestPath(dir)))
+    assertFailsLoudly(ciao(dir))
+  }
+
+  test("the manifest is read once per load: a loaded table outlives its deletion") {
+    val (dir, ds) = smallStore("ciao-manifest-once", full = false)
+    val df = ciao(dir)
+    Files.delete(Paths.get(ChunkStore.manifestPath(dir)))
+    assert(df.count() === ds.lines.size)
+    assert(df.where("stars = 5").count() ===
+      Harness.expectedCounts(ds.lines, Vector(CiaoQuery(Vector(Clause(KeyValueMatch("stars", "5")))))).head)
+    assertFailsLoudly(ciao(dir))
   }
 
   test("missing path option fails loudly") {

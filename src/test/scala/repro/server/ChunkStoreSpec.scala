@@ -1,13 +1,13 @@
 package repro.server
 
-import java.nio.file.Files
+import java.nio.file.{Files, Paths}
 
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core._
 import TableSchema._
 
-/** Store layout, registry/schema codecs and sidecar IO. */
+/** Store layout, the manifest codec and sidecar IO. */
 class ChunkStoreSpec extends AnyFunSuite {
 
   private def tmpDir(): String = Files.createTempDirectory("store").toString
@@ -21,19 +21,30 @@ class ChunkStoreSpec extends AnyFunSuite {
   private val schema = TableSchema(Vector(
     Col("name", CString), Col("age", CLong), Col("score", CDouble), Col("ok", CBool)))
 
+  private val chunks = Vector(
+    ChunkStore.ChunkEntry(0, 0L, 1L, bits = false),
+    ChunkStore.ChunkEntry(1, 2L, 0L, bits = true),
+    ChunkStore.ChunkEntry(2, 3L, 4L, bits = true))
+
+  /** Write `m` as a store's manifest and read it back. */
+  private def roundTrip(m: ChunkStore.Manifest): ChunkStore.Manifest = {
+    val dir = tmpDir(); ChunkStore.init(dir)
+    ChunkStore.writeManifest(dir, m)
+    ChunkStore.readManifest(dir)
+  }
+
   test("init creates a fresh store and wipes previous content") {
     val dir = tmpDir()
     ChunkStore.init(dir)
-    Files.write(java.nio.file.Paths.get(ChunkStore.chunksDir(dir), "junk.txt"), "x".getBytes)
+    Files.write(Paths.get(ChunkStore.chunksDir(dir), "junk.txt"), "x".getBytes)
+    ChunkStore.writeManifest(dir, ChunkStore.Manifest(schema, registry, chunks))
     ChunkStore.init(dir)
-    assert(ChunkStore.listChunks(dir).isEmpty)
+    assert(new java.io.File(ChunkStore.chunksDir(dir)).list().isEmpty)
+    assert(!Files.exists(Paths.get(ChunkStore.manifestPath(dir))))
   }
 
   test("registry round-trips all atom kinds, ids, sel and cost") {
-    val dir = tmpDir(); ChunkStore.init(dir)
-    ChunkStore.writeRegistry(dir, registry)
-    val got = ChunkStore.readRegistry(dir)
-    assert(got.entries === registry.entries)
+    assert(roundTrip(ChunkStore.Manifest(schema, registry, chunks)).registry.entries === registry.entries)
   }
 
   test("registry canonical index finds clauses regardless of atom order") {
@@ -42,15 +53,17 @@ class ChunkStoreSpec extends AnyFunSuite {
   }
 
   test("empty registry round-trips") {
-    val dir = tmpDir(); ChunkStore.init(dir)
-    ChunkStore.writeRegistry(dir, ChunkStore.Registry(Vector.empty))
-    assert(ChunkStore.readRegistry(dir).isEmpty)
+    val m = ChunkStore.Manifest(schema, ChunkStore.Registry(Vector.empty), Vector.empty)
+    assert(roundTrip(m) === m)
   }
 
   test("schema round-trips all column types") {
-    val dir = tmpDir(); ChunkStore.init(dir)
-    ChunkStore.writeSchema(dir, schema)
-    assert(ChunkStore.readSchema(dir) === schema)
+    assert(roundTrip(ChunkStore.Manifest(schema, registry, chunks)).schema === schema)
+  }
+
+  test("manifest round-trips chunk ids, row counts and sidecar flags") {
+    val m = ChunkStore.Manifest(schema, registry, chunks)
+    assert(roundTrip(m) === m)
   }
 
   test("sidecar bits round-trip through files") {
@@ -72,13 +85,12 @@ class ChunkStoreSpec extends AnyFunSuite {
 
   test("listChunks groups files by chunk id with optional parts") {
     val dir = tmpDir(); ChunkStore.init(dir)
-    ChunkStore.writeRawLines(ChunkStore.rawPath(dir, 0), Vector("{}"))
-    ChunkStore.writeBits(ChunkStore.bitsPath(dir, 1), Map(0 -> BitVec.full(2)))
-    ParquetIO.writeChunk(ChunkStore.parquetPath(dir, 1), schema, Vector.empty)
-    val chunks = ChunkStore.listChunks(dir)
-    assert(chunks.map(_.id) === Vector(0, 1))
-    assert(chunks(0).parquet.isEmpty && chunks(0).raw.nonEmpty)
-    assert(chunks(1).parquet.nonEmpty && chunks(1).bits.nonEmpty && chunks(1).raw.isEmpty)
+    ChunkStore.writeManifest(dir, ChunkStore.Manifest(schema, registry, chunks))
+    val files = ChunkStore.listChunks(dir)
+    assert(files.map(_.id) === Vector(0, 1, 2))
+    assert(files(0) === ChunkStore.ChunkFiles(0, None, None, Some(ChunkStore.rawPath(dir, 0))))
+    assert(files(1) === ChunkStore.ChunkFiles(1, Some(ChunkStore.parquetPath(dir, 1)), Some(ChunkStore.bitsPath(dir, 1)), None))
+    assert(files(2).parquet.nonEmpty && files(2).bits.nonEmpty && files(2).raw.nonEmpty)
   }
 
   test("paths are zero-padded and sorted numerically") {
@@ -90,8 +102,18 @@ class ChunkStoreSpec extends AnyFunSuite {
 
   test("unknown atom kind in registry JSON fails loudly") {
     val dir = tmpDir(); ChunkStore.init(dir)
-    Files.write(java.nio.file.Paths.get(ChunkStore.registryPath(dir)),
-      """{"predicates":[{"id":0,"sel":0.1,"cost":0.1,"atoms":[{"kind":"range","attr":"x"}]}]}""".getBytes)
-    intercept[IllegalArgumentException](ChunkStore.readRegistry(dir))
+    Files.write(Paths.get(ChunkStore.manifestPath(dir)),
+      """{"cols":[],"predicates":[{"id":0,"sel":0.1,"cost":0.1,"atoms":[{"kind":"range","attr":"x"}]}],"chunks":[]}"""
+        .getBytes)
+    intercept[IllegalArgumentException](ChunkStore.readManifest(dir))
+  }
+
+  test("a store without a manifest is refused by every reader") {
+    val dir = tmpDir(); ChunkStore.init(dir)
+    ParquetIO.writeChunk(ChunkStore.parquetPath(dir, 0), schema, Vector.empty)
+    intercept[IllegalStateException](ChunkStore.readManifest(dir))
+    intercept[IllegalStateException](ChunkStore.listChunks(dir))
+    intercept[IllegalStateException](ChunkStore.readSchema(dir))
+    intercept[IllegalStateException](ChunkStore.readRegistry(dir))
   }
 }

@@ -7,6 +7,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.client.ClientFilter
 import repro.core._
 import repro.workload.JsonDatasets
+import TableSchema._
 
 /** Partial data loading (paper §VI-A): only objects valid for ≥1 pushed
   * predicate become Parquet rows; the rest stay raw; sidecars are compacted
@@ -120,6 +121,28 @@ class PartialLoaderSpec extends AnyFunSuite {
     val files = ChunkStore.listChunks(dir)
     assert(files.forall(_.parquet.isEmpty))
     assert(files.flatMap(_.raw).flatMap(ChunkStore.readRawLines).size === ds.lines.size)
+  }
+
+  test("long columns load exact integers, and null for numbers that are not integers fitting a Long") {
+    val schema = TableSchema(Vector(Col("n", CLong)))
+    val lines  = Vector("9007199254740993", "10.5", "-9223372036854775808", "9223372036854775808", "1e1", "\"7\"")
+      .map(n => s"""{"n":$n}""")
+    val dir = tmpDir()
+    PartialLoader.loadPartial(dir, schema, Vector(lines), Vector(Map.empty[Int, BitVec]), ChunkStore.Registry(Vector.empty))
+    val rows = ParquetIO.readChunk(ChunkStore.listChunks(dir).head.parquet.get, schema)
+    assert(rows.map(r => Option.when(!r.isNullAt(0))(r.getLong(0))) ===
+      Vector(Some(9007199254740993L), None, Some(Long.MinValue), None, None, None))
+  }
+
+  test("the manifest records each chunk's loaded and raw row counts and sidecar") {
+    val dir   = tmpDir()
+    PartialLoader.loadPartial(dir, ds.schema, chunks, bits, registry)
+    val m = ChunkStore.readManifest(dir)
+    assert(m.schema === ds.schema && m.registry === registry)
+    assert(m.chunks === chunks.indices.map { i =>
+      val loaded = BitVec.unionAll(chunks(i).size, bits(i).values.toSeq).cardinality.toLong
+      ChunkStore.ChunkEntry(i, loaded, chunks(i).size - loaded, bits = loaded > 0)
+    })
   }
 
   test("chunk/bits count mismatch is rejected") {
