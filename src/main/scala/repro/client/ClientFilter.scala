@@ -12,8 +12,24 @@ import repro.core._
   */
 object ClientFilter {
 
-  /** Evaluate one atom against one raw JSON line using only string search. */
-  def matchAtom(line: String, atom: Atom): Boolean = atom match {
+  /** Evaluate one atom against one raw JSON line using only string search.
+    *
+    * Patterns are searched unescaped, so a line that spells the value
+    * differently could hide a match: a miss on a line holding a backslash
+    * (an escape such as `\"`, `\/` or `\u00e9`), or, for a key-value match,
+    * on a key whose value is a number written with an exponent (`1e1` for
+    * `10`), reports true instead.
+    */
+  def matchAtom(line: String, atom: Atom): Boolean = findsPattern(line, atom) || escaped(line)
+
+  /** Evaluate a disjunctive clause: OR over its atoms. */
+  def matchClause(line: String, clause: Clause): Boolean =
+    clause.atoms.exists(findsPattern(line, _)) || escaped(line)
+
+  private def escaped(line: String): Boolean = line.indexOf('\\') >= 0
+
+  /** [[matchAtom]] without the escape rule. */
+  private def findsPattern(line: String, atom: Atom): Boolean = atom match {
     case kv: KeyValueMatch =>
       // Search the quoted key; if found, look for the literal between the
       // key and the next field delimiter (',' or the closing '}').
@@ -32,6 +48,7 @@ object ClientFilter {
           if (brace >= 0 && brace < end) end = brace
           val idx = line.indexOf(lit, windowStart)
           if (idx >= 0 && idx + lit.length <= end) found = true
+          else found = exponentNumber(line, windowStart, end)
           from = windowStart
         }
       }
@@ -39,15 +56,24 @@ object ClientFilter {
     case _: ExactMatch | _: SubstringMatch | _: KeyPresence => line.indexOf(atom.patterns.head) >= 0
   }
 
-  /** Evaluate a disjunctive clause: OR over its atoms. */
-  def matchClause(line: String, clause: Clause): Boolean =
-    clause.atoms.exists(matchAtom(line, _))
+  /** Whether `line(start until end)`, after the `:`, holds a number with an exponent. */
+  private def exponentNumber(line: String, start: Int, end: Int): Boolean = {
+    var i = start
+    while (i < end && (line(i) == ':' || Character.isWhitespace(line(i)))) i += 1
+    val number = i < end && (line(i) == '-' || Character.isDigit(line(i)))
+    while (number && i < end && line(i) != 'e' && line(i) != 'E') i += 1
+    number && i < end
+  }
 
-  /** Bit-vectors for one chunk: predicate id → one bit per line. */
-  def chunkBits(lines: IndexedSeq[String], selected: Seq[(Int, Clause)]): Map[Int, BitVec] =
+  /** Bit-vectors for one chunk: predicate id → one bit per line, as [[matchClause]]
+    * sets it. Each line is scanned for escapes once, not once per clause.
+    */
+  def chunkBits(lines: IndexedSeq[String], selected: Seq[(Int, Clause)]): Map[Int, BitVec] = {
+    val escapes = BitVec.fromBooleans(lines.map(escaped))
     selected.map { case (id, clause) =>
-      id -> BitVec.fromBooleans(lines.map(matchClause(_, clause)))
+      id -> BitVec.fromBooleans(lines.map(l => clause.atoms.exists(findsPattern(l, _)))).or(escapes)
     }.toMap
+  }
 
   /** Result of client prefiltering over a sequence of chunks. */
   final case class PrefilterResult(

@@ -16,20 +16,16 @@ final class BitVec private (val nBits: Int, private val words: Array[Long]) {
   }
 
   /** Bitwise AND; both sides must have the same length. */
-  def and(other: BitVec): BitVec = {
-    require(other.nBits == nBits, s"length mismatch: $nBits vs ${other.nBits}")
-    val w = new Array[Long](words.length)
-    var i = 0
-    while (i < w.length) { w(i) = words(i) & other.words(i); i += 1 }
-    new BitVec(nBits, w)
-  }
+  def and(other: BitVec): BitVec = zipWords(other)(_ & _)
 
   /** Bitwise OR; both sides must have the same length. */
-  def or(other: BitVec): BitVec = {
+  def or(other: BitVec): BitVec = zipWords(other)(_ | _)
+
+  private def zipWords(other: BitVec)(op: (Long, Long) => Long): BitVec = {
     require(other.nBits == nBits, s"length mismatch: $nBits vs ${other.nBits}")
     val w = new Array[Long](words.length)
     var i = 0
-    while (i < w.length) { w(i) = words(i) | other.words(i); i += 1 }
+    while (i < w.length) { w(i) = op(words(i), other.words(i)); i += 1 }
     new BitVec(nBits, w)
   }
 

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.commons.math3.linear.{Array2DRowRealMatrix, ArrayRealVector, QRDecomposition}
+
 /** Client-side predicate evaluation cost model (paper §V-D).
   *
   * Per-object expected cost of evaluating a simple predicate p:
@@ -42,30 +44,22 @@ object CostModel {
   private def features(s: Sample): Array[Double] =
     Array(s.sel * s.lenP, s.sel * s.lenT, (1 - s.sel) * s.lenP, (1 - s.sel) * s.lenT, 1.0)
 
-  /** Ordinary least squares via normal equations (XᵀX + λI)β = Xᵀy, solved
-    * by Gaussian elimination with partial pivoting (5 unknowns — exact).
-    * A tiny ridge term `lambda` keeps the fit well-posed when measured
-    * samples are nearly collinear (e.g. every chosen pattern missed, making
-    * the found-case columns all ~0); λ=0 is pure OLS.
+  /** A tiny ridge term keeps the fit well-posed when measured samples are
+    * nearly collinear (e.g. every chosen pattern missed, making the
+    * found-case columns all ~0).
     */
-  def calibrate(samples: Seq[Sample], lambda: Double = 0.0): Coeffs = {
+  private val Ridge = 1e-6
+
+  /** Least squares with a ridge term, minimizing ‖Xβ−y‖² + λ‖β‖²: the
+    * design matrix X stacked over √λ·I (with zero targets) is solved by
+    * commons-math3's QR decomposition.
+    */
+  def calibrate(samples: Seq[Sample]): Coeffs = {
     require(samples.size >= 5, s"need ≥5 samples to fit 5 coefficients, got ${samples.size}")
-    val k   = 5
-    val xtx = Array.fill(k, k)(0.0)
-    val xty = Array.fill(k)(0.0)
-    samples.foreach { s =>
-      val x = features(s)
-      var i = 0
-      while (i < k) {
-        var j = 0
-        while (j < k) { xtx(i)(j) += x(i) * x(j); j += 1 }
-        xty(i) += x(i) * s.measuredMicros
-        i += 1
-      }
-    }
-    var i = 0
-    while (i < k) { xtx(i)(i) += lambda; i += 1 }
-    val beta = solve(xtx, xty)
+    val ridgeRows = Array.tabulate(5, 5)((i, j) => if (i == j) math.sqrt(Ridge) else 0.0)
+    val x    = new Array2DRowRealMatrix(samples.map(features).toArray ++ ridgeRows, false)
+    val y    = new ArrayRealVector(samples.map(_.measuredMicros).toArray ++ new Array[Double](5), false)
+    val beta = new QRDecomposition(x).getSolver.solve(y).toArray
     Coeffs(beta(0), beta(1), beta(2), beta(3), beta(4))
   }
 
@@ -81,38 +75,5 @@ object CostModel {
     val ssTot = ys.map(y => math.pow(y - yBar, 2)).sum
     if (ssTot == 0.0) { if (ssRes == 0.0) 1.0 else 0.0 }
     else 1.0 - ssRes / ssTot
-  }
-
-  /** Solve A·x = b by Gaussian elimination with partial pivoting.
-    * A and b are copied; throws on a (near-)singular system.
-    */
-  def solve(aIn: Array[Array[Double]], bIn: Array[Double]): Array[Double] = {
-    val n = bIn.length
-    require(aIn.length == n && aIn.forall(_.length == n), "A must be n×n matching b")
-    val a = aIn.map(_.clone)
-    val b = bIn.clone
-    for (col <- 0 until n) {
-      var pivot = col
-      for (r <- col + 1 until n) if (math.abs(a(r)(col)) > math.abs(a(pivot)(col))) pivot = r
-      require(math.abs(a(pivot)(col)) > 1e-12, s"singular system at column $col")
-      if (pivot != col) {
-        val tmp = a(pivot); a(pivot) = a(col); a(col) = tmp
-        val tb = b(pivot); b(pivot) = b(col); b(col) = tb
-      }
-      for (r <- col + 1 until n) {
-        val factor = a(r)(col) / a(col)(col)
-        if (factor != 0.0) {
-          for (c2 <- col until n) a(r)(c2) -= factor * a(col)(c2)
-          b(r) -= factor * b(col)
-        }
-      }
-    }
-    val x = new Array[Double](n)
-    for (row <- (n - 1) to 0 by -1) {
-      var s = b(row)
-      for (c2 <- row + 1 until n) s -= a(row)(c2) * x(c2)
-      x(row) = s / a(row)(row)
-    }
-    x
   }
 }

@@ -7,7 +7,7 @@ import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapabil
 import org.apache.spark.sql.connector.expressions.Transform
 import org.apache.spark.sql.connector.read._
 import org.apache.spark.sql.sources.{DataSourceRegister, Filter}
-import org.apache.spark.sql.types._
+import org.apache.spark.sql.types.StructType
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 
 import repro.core.BitVec
@@ -40,7 +40,7 @@ class CiaoDataSource extends TableProvider with DataSourceRegister {
   }
 
   override def inferSchema(options: CaseInsensitiveStringMap): StructType =
-    CiaoDataSource.sparkSchema(manifest(CiaoDataSource.dirFrom(options)).schema)
+    manifest(CiaoDataSource.dirFrom(options)).schema
 
   override def getTable(schema: StructType, partitioning: Array[Transform], properties: JMap[String, String]): Table = {
     val dir = CiaoDataSource.dirFrom(properties)
@@ -58,17 +58,8 @@ object CiaoDataSource {
     if (found != recorded)
       throw new IllegalStateException(s"$path holds $found rows but the store manifest records $recorded")
 
-  /** Map the store schema to a Spark schema (all columns nullable). */
-  def sparkSchema(schema: TableSchema): StructType =
-    StructType(schema.cols.map { c =>
-      val dt = c.tpe match {
-        case TableSchema.CString => StringType
-        case TableSchema.CLong   => LongType
-        case TableSchema.CDouble => DoubleType
-        case TableSchema.CBool   => BooleanType
-      }
-      StructField(c.name, dt, nullable = true)
-    })
+  /** The Spark schema of a store schema: the store schema already is one. */
+  def sparkSchema(schema: StructType): StructType = schema
 }
 
 /** Batch-readable table over one CIAO store directory; every query plans from `manifest`. */
@@ -133,11 +124,11 @@ final case class ParquetChunkPartition(
     rows: Long,
     bitsPath: Option[String],
     skipIds: Array[Int],
-    tableSchema: TableSchema,
+    tableSchema: StructType,
 ) extends InputPartition
 
 /** An unloaded raw-JSON chunk of `rows` lines, parsed just-in-time. */
-final case class RawChunkPartition(rawPath: String, rows: Long, tableSchema: TableSchema) extends InputPartition
+final case class RawChunkPartition(rawPath: String, rows: Long, tableSchema: StructType) extends InputPartition
 
 class CiaoReaderFactory extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] =

@@ -23,16 +23,18 @@ object Experiments {
     */
   val ChunkSize: Int = 4000
 
+  /** One store directory per experiment function: its warm-up and every
+    * `Harness.run` load into it, and each load wipes it first.
+    */
   private def tmp(prefix: String): String = Files.createTempDirectory(prefix).toString
 
   /** Warm up the load path (JSON parse, Parquet writer classloading) and the
     * Spark query path before any timed run, so the first measured baseline
     * is not inflated by JIT/classloading (§VII measurements are steady-state).
     */
-  private def warmup(spark: SparkSession, b: Harness.Bundle): Unit = {
+  private def warmup(spark: SparkSession, b: Harness.Bundle, dir: String): Unit = {
     val lines  = b.dataset.lines.take(2000)
     val chunks = repro.client.ClientFilter.chunk(lines, 1000)
-    val dir    = tmp("warmup")
     repro.server.PartialLoader.loadFull(dir, b.dataset.schema, chunks)
     spark.read.format("ciao").load(dir).count()
     ()
@@ -58,17 +60,18 @@ object Experiments {
                budgets: Seq[Double], nQueries: Int = 200, nExec: Int = 20,
                seed: Long = 7L, verifyCounts: Boolean = false): Vector[E2ERow] = {
     val b         = Harness.bundle(datasetName, rows)
-    warmup(spark, b)
+    val dir       = tmp("e2e")
+    warmup(spark, b, dir)
     val workloads = WorkloadGen.tableIII(b.pool.map(_.clause), nQueries, seed)
     val out = Vector.newBuilder[E2ERow]
     for (label <- Seq("A", "B", "C")) {
       val (queries, _) = workloads(label)
       val exec = queries.take(nExec)
       val expected = if (verifyCounts) Harness.expectedCounts(b.dataset.lines, exec) else Vector.empty
-      val baseline = Harness.run(spark, b, queries, exec, budget = 0.0, storeDir = tmp("e2e"), chunkSize = ChunkSize)
+      val baseline = Harness.run(spark, b, queries, exec, budget = 0.0, storeDir = dir, chunkSize = ChunkSize)
       for (budget <- budgets) {
         val r = if (budget == 0.0) baseline
-                else Harness.run(spark, b, queries, exec, budget, storeDir = tmp("e2e"), chunkSize = ChunkSize)
+                else Harness.run(spark, b, queries, exec, budget, storeDir = dir, chunkSize = ChunkSize)
         if (verifyCounts) require(r.counts == expected,
           s"count mismatch for $datasetName/$label at budget $budget")
         out += E2ERow(datasetName, label, budget,
@@ -105,12 +108,13 @@ object Experiments {
   def skippingFraction(spark: SparkSession, rows: Int, budgets: Seq[Double],
                        nQueries: Int = 200, nExec: Int = 30, seed: Long = 7L): Vector[SkipFracRow] = {
     val b       = Harness.bundle("ycsb", rows)
-    warmup(spark, b)
+    val dir     = tmp("fig6")
+    warmup(spark, b, dir)
     val queries = WorkloadGen.tableIII(b.pool.map(_.clause), nQueries, seed)("C")._1
     val exec    = queries.take(nExec)
-    val baseline = Harness.run(spark, b, queries, exec, 0.0, tmp("fig6"), chunkSize = ChunkSize)
+    val baseline = Harness.run(spark, b, queries, exec, 0.0, dir, chunkSize = ChunkSize)
     budgets.toVector.map { budget =>
-      val r = Harness.run(spark, b, queries, exec, budget, tmp("fig6"), chunkSize = ChunkSize)
+      val r = Harness.run(spark, b, queries, exec, budget, dir, chunkSize = ChunkSize)
       val improved = r.perQueryMs.zip(baseline.perQueryMs).count { case (t, t0) => t < t0 * 0.95 }
       SkipFracRow(budget, exec.size, improved, improved.toDouble / exec.size)
     }
@@ -134,21 +138,23 @@ object Experiments {
     def loadSpeedup: Double = baselineLoadMs / math.max(loadMs, 1e-9)
   }
 
-  private def runMicro(spark: SparkSession, b: Harness.Bundle, label: String,
+  private def runMicro(spark: SparkSession, b: Harness.Bundle, dir: String, label: String,
                        queries: Vector[CiaoQuery], pushed: Vector[Clause]): MicroRow = {
-    val baseline = Harness.run(spark, b, queries, queries, 0.0, tmp("micro"), chunkSize = ChunkSize)
+    val baseline = Harness.run(spark, b, queries, queries, 0.0, dir, chunkSize = ChunkSize)
     val r = Harness.run(spark, b, queries, queries, budget = Double.MaxValue,
-      storeDir = tmp("micro"), chunkSize = ChunkSize, forceSelected = Some(pushed))
+      storeDir = dir, chunkSize = ChunkSize, forceSelected = Some(pushed))
     require(r.counts == baseline.counts, s"micro $label: counts diverged")
     MicroRow(label, pushed.size, r.partialEnabled, r.loadedRatio,
       r.loadMs, baseline.loadMs, r.perQueryMs, baseline.perQueryMs,
       WorkloadGen.skewnessFactor(queries))
   }
 
-  private def winlogBundle(spark: SparkSession, rows: Int): Harness.Bundle = {
-    val b = Harness.bundle("winlog", rows)
-    warmup(spark, b)
-    b
+  /** The winlog bundle and the warmed-up store directory of one micro-benchmark. */
+  private def winlogBundle(spark: SparkSession, rows: Int): (Harness.Bundle, String) = {
+    val b   = Harness.bundle("winlog", rows)
+    val dir = tmp("micro")
+    warmup(spark, b, dir)
+    (b, dir)
   }
 
   private def atomsOf(b: Harness.Bundle, template: String): Vector[Clause] =
@@ -160,7 +166,7 @@ object Experiments {
     * first two shared and pushed (so partial loading is enabled, §VII-E.1).
     */
   def microSelectivity(spark: SparkSession, rows: Int): Vector[MicroRow] = {
-    val b       = winlogBundle(spark, rows)
+    val (b, dir) = winlogBundle(spark, rows)
     val seconds = atomsOf(b, "time LIKE (second)")
     val minutes = atomsOf(b, "time LIKE (minute)")
     val hours   = atomsOf(b, "time LIKE (hour)")
@@ -177,9 +183,9 @@ object Experiments {
     // low ~0.33-0.36: 5-month and 10-day disjunctions, 8-hour extras
     val (qL, pL) = workload(Vector(disj(months, 5, 0), disj(days, 10, 0)), i => disj(hours, 8, i * 3))
     Vector(
-      runMicro(spark, b, "sel~0.02(high)", qH, pH),
-      runMicro(spark, b, "sel~0.14(med)", qM, pM),
-      runMicro(spark, b, "sel~0.35(low)", qL, pL))
+      runMicro(spark, b, dir, "sel~0.02(high)", qH, pH),
+      runMicro(spark, b, dir, "sel~0.14(med)", qM, pM),
+      runMicro(spark, b, dir, "sel~0.35(low)", qL, pL))
   }
 
   /** Fig. 9/10 — predicate overlap: 5 uniform queries with 1 (L), 2 (M) or
@@ -188,7 +194,7 @@ object Experiments {
     * two; only H's pushed pair covers every query (§VII-E.2).
     */
   def microOverlap(spark: SparkSession, rows: Int): Vector[MicroRow] = {
-    val b  = winlogBundle(spark, rows)
+    val (b, dir) = winlogBundle(spark, rows)
     val ps = Vector(
       atomsOf(b, "time LIKE (minute)").head,
       atomsOf(b, "time LIKE (second)").head,
@@ -201,9 +207,9 @@ object Experiments {
     val mOl = Vector.tabulate(5)(i => q(i, i + 1))
     val hOl = Vector.tabulate(5)(i => q(i, i + 1, i + 2, i + 3))
     Vector(
-      runMicro(spark, b, "L_ol(1 pred/q)", lOl, pushed),
-      runMicro(spark, b, "M_ol(2 preds/q)", mOl, pushed),
-      runMicro(spark, b, "H_ol(4 preds/q)", hOl, pushed))
+      runMicro(spark, b, dir, "L_ol(1 pred/q)", lOl, pushed),
+      runMicro(spark, b, dir, "M_ol(2 preds/q)", mOl, pushed),
+      runMicro(spark, b, dir, "H_ol(4 preds/q)", hOl, pushed))
   }
 
   /** Fig. 11/12 — predicate skewness: 5 two-predicate queries; the shared
@@ -211,7 +217,7 @@ object Experiments {
     * pushed (§VII-E.3). H enables partial loading.
     */
   def microSkewness(spark: SparkSession, rows: Int): Vector[MicroRow] = {
-    val b       = winlogBundle(spark, rows)
+    val (b, dir) = winlogBundle(spark, rows)
     val shared  = atomsOf(b, "info LIKE <string>").head // kw000, sel ~0.15
     val minutes = atomsOf(b, "time LIKE (minute)")
     val hoursC  = atomsOf(b, "time LIKE (hour)")
@@ -222,9 +228,9 @@ object Experiments {
       else CiaoQuery(Vector(minutes(10 + i), hoursC(10 + i))))
     val hSk = Vector.tabulate(5)(i => CiaoQuery(Vector(shared, minutes(i))))
     Vector(
-      runMicro(spark, b, "L_sk", lSk, Vector(lSk.head.clauses.head)),
-      runMicro(spark, b, "M_sk", mSk, Vector(shared)),
-      runMicro(spark, b, "H_sk", hSk, Vector(shared)))
+      runMicro(spark, b, dir, "L_sk", lSk, Vector(lSk.head.clauses.head)),
+      runMicro(spark, b, dir, "M_sk", mSk, Vector(shared)),
+      runMicro(spark, b, dir, "H_sk", hSk, Vector(shared)))
   }
 
   def formatMicro(title: String, rows: Seq[MicroRow]): String = {
@@ -261,12 +267,12 @@ object Experiments {
       val spike = if (rnd.nextDouble() < 0.12) 1.6 + 1.2 * rnd.nextDouble() else 1.0 + 0.15 * rnd.nextDouble()
       s.copy(measuredMicros = s.measuredMicros * spike)
     }
-    val idealCoeffs = CostModel.calibrate(measured, lambda = 1e-6)
+    val idealCoeffs = CostModel.calibrate(measured)
     val stable = samples.map { s =>
       val t = CostModel.estimateSearch(idealCoeffs, s.sel, s.lenP, s.lenT)
       s.copy(measuredMicros = math.max(1e-6, t * (1.0 + 0.03 * (rnd.nextDouble() - 0.5))))
     }
-    def r2(ss: Seq[CostModel.Sample]) = CostModel.rSquared(ss, CostModel.calibrate(ss, lambda = 1e-6))
+    def r2(ss: Seq[CostModel.Sample]) = CostModel.rSquared(ss, CostModel.calibrate(ss))
     Vector(
       PlatformRow("container-jvm (measured)", "this container, JVM String.indexOf", r2(measured)),
       PlatformRow("cloud-vm (simulated)", "measured + hypervisor-style throttling spikes", r2(noisy)),

@@ -33,12 +33,10 @@ object Harness {
   ) {
     def name: String         = dataset.name
     def avgLen: Double       = dataset.avgLineLength
+    /** Sample-estimated selectivity of one atom; 0.1 when the pool did not estimate it. */
+    def atomSel(a: Atom): Double = sels.getOrElse(Clause(a).canonical, 0.1)
     /** Selectivity of a clause from its atoms (independence for disjunctions). */
-    def clauseSel(clause: Clause): Double = {
-      val atomSel = clause.atoms.map(a => sels.getOrElse(Clause(a).canonical, fallbackAtomSel(a)))
-      1.0 - atomSel.map(1.0 - _).product
-    }
-    private def fallbackAtomSel(a: Atom): Double = 0.1
+    def clauseSel(clause: Clause): Double = 1.0 - clause.atoms.map(a => 1.0 - atomSel(a)).product
   }
 
   /** Build a bundle: generate data, expand the Table II pool, estimate
@@ -63,7 +61,7 @@ object Harness {
     */
   def calibrate(sampleLines: Seq[String], pool: Vector[PredicatePool.PoolEntry],
                 maxPreds: Int = 80): CostModel.Coeffs =
-    CostModel.calibrate(searchSamples(sampleLines, pool, maxPreds), lambda = 1e-6)
+    CostModel.calibrate(searchSamples(sampleLines, pool, maxPreds))
 
   /** Time about `maxPreds` pool patterns, spread over pattern length, each
     * against one of four line-length buckets of `sampleLines` in turn.
@@ -116,8 +114,7 @@ object Harness {
   def candidates(bundle: Bundle, queries: Seq[CiaoQuery]): Vector[PredicateSelection.Candidate] =
     queries.flatMap(_.clauses).distinctBy(_.canonical).map { cl =>
       val sel  = bundle.clauseSel(cl)
-      val cost = CostModel.clauseCost(bundle.coeffs, cl,
-        a => bundle.sels.getOrElse(Clause(a).canonical, 0.1), bundle.avgLen)
+      val cost = CostModel.clauseCost(bundle.coeffs, cl, bundle.atomSel, bundle.avgLen)
       PredicateSelection.Candidate(cl, sel, math.max(cost, 1e-6))
     }.toVector
 

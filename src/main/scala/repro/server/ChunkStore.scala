@@ -7,6 +7,8 @@ import java.util.Comparator
 
 import scala.util.Using
 
+import org.apache.spark.sql.types.{BooleanType, DoubleType, LongType, StringType, StructField, StructType}
+
 import repro.core._
 import repro.json._
 
@@ -26,7 +28,6 @@ import repro.json._
   * not finish leaves no manifest and every reader refuses the store.
   */
 object ChunkStore {
-  import TableSchema._
 
   /** One pushed-down predicate in the registry. */
   final case class RegEntry(id: Int, clause: Clause, sel: Double, cost: Double)
@@ -48,8 +49,8 @@ object ChunkStore {
       Option.when(rawRows > 0)(rawPath(dir, id)))
   }
 
-  /** Contents of `manifest.json`. */
-  final case class Manifest(schema: TableSchema, registry: Registry, chunks: Vector[ChunkEntry])
+  /** Contents of `manifest.json`. Each column's type is spelled by its Spark `typeName`. */
+  final case class Manifest(schema: StructType, registry: Registry, chunks: Vector[ChunkEntry])
 
   def manifestPath(dir: String): String = s"$dir/manifest.json"
   def chunksDir(dir: String): String    = s"$dir/chunks"
@@ -68,14 +69,11 @@ object ChunkStore {
     ()
   }
 
-  def readSchema(dir: String): TableSchema     = readManifest(dir).schema
+  def readSchema(dir: String): StructType      = readManifest(dir).schema
   def readRegistry(dir: String): Registry      = readManifest(dir).registry
   def listChunks(dir: String): Vector[ChunkFiles] = readManifest(dir).chunks.map(_.files(dir))
 
   // ---- manifest codec (manifest.json) ----
-
-  private val typeNames: Map[ColType, String] =
-    Map(CString -> "string", CLong -> "long", CDouble -> "double", CBool -> "boolean")
 
   private def num(x: Any): JNum = JNum(x.toString)
 
@@ -89,7 +87,9 @@ object ChunkStore {
   /** Write the manifest via a temporary file and an atomic rename: readers see none or all of it. */
   def writeManifest(dir: String, m: Manifest): Unit = {
     val json = JObj(Vector(
-      "cols" -> JArr(m.schema.cols.map(c => JObj(Vector("name" -> JStr(c.name), "type" -> JStr(typeNames(c.tpe)))))),
+      "cols" -> JArr(m.schema.fields.toVector.map { f =>
+        JObj(Vector("name" -> JStr(f.name), "type" -> JStr(f.dataType.typeName)))
+      }),
       "predicates" -> JArr(m.registry.entries.map { e =>
         JObj(Vector("id" -> num(e.id), "sel" -> num(e.sel), "cost" -> num(e.cost),
           "atoms" -> JArr(e.clause.atoms.map(atomToJson))))
@@ -120,10 +120,10 @@ object ChunkStore {
       case "kv"      => KeyValueMatch(str(o, "attr"), str(o, "value"))
       case k         => throw new IllegalArgumentException(s"unknown atom kind '$k'")
     }
-    val typeOf = typeNames.map(_.swap)
+    val typeOf = Seq(StringType, LongType, DoubleType, BooleanType).map(t => t.typeName -> t).toMap
     Manifest(
-      TableSchema(objs(root, "cols").map { c =>
-        Col(str(c, "name"), typeOf.getOrElse(str(c, "type"),
+      StructType(objs(root, "cols").map { c =>
+        StructField(str(c, "name"), typeOf.getOrElse(str(c, "type"),
           throw new IllegalArgumentException(s"unknown column type '${str(c, "type")}'")))
       }),
       Registry(objs(root, "predicates").map { e =>

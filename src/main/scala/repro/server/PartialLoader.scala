@@ -1,5 +1,7 @@
 package repro.server
 
+import org.apache.spark.sql.types.StructType
+
 import repro.core._
 import repro.json.JsonParser
 
@@ -28,7 +30,7 @@ object PartialLoader {
     * `bitsPerChunk`. With an empty registry this degrades to a full load.
     */
   def loadPartial(dir: String,
-                  schema: TableSchema,
+                  schema: StructType,
                   chunks: IndexedSeq[IndexedSeq[String]],
                   bitsPerChunk: IndexedSeq[Map[Int, BitVec]],
                   registry: ChunkStore.Registry): LoadStats =
@@ -39,7 +41,7 @@ object PartialLoader {
     * data skipping without partial loading.
     */
   def loadFull(dir: String,
-               schema: TableSchema,
+               schema: StructType,
                chunks: IndexedSeq[IndexedSeq[String]],
                bitsPerChunk: IndexedSeq[Map[Int, BitVec]] = IndexedSeq.empty,
                registry: ChunkStore.Registry = ChunkStore.Registry(Vector.empty)): LoadStats =
@@ -47,7 +49,7 @@ object PartialLoader {
       if (bitsPerChunk.isEmpty) chunks.map(_ => Map.empty[Int, BitVec]) else bitsPerChunk, registry, loadAll = true)
 
   private def load(dir: String,
-                   schema: TableSchema,
+                   schema: StructType,
                    chunks: IndexedSeq[IndexedSeq[String]],
                    bitsPerChunk: IndexedSeq[Map[Int, BitVec]],
                    registry: ChunkStore.Registry,

@@ -70,6 +70,26 @@ class ClientFilterSpec extends AnyFunSuite with PropSupport {
     assert(!ClientFilter.matchClause(line, Clause(ExactMatch("name", "Alice"), KeyValueMatch("age", "9"))))
   }
 
+  // ---- values the JSON text spells differently from the pattern ----
+
+  /** The typed predicate holds on `line`, so the client must set the bit. */
+  private def assertNoFalseNegative(line: String, atom: Atom): Unit = {
+    assert(atom.evalParsed(JsonParser.parseObject(line)))
+    assert(ClientFilter.matchAtom(line, atom), s"FALSE NEGATIVE for $atom on $line")
+  }
+
+  test("exact match holds on an escaped quote in the value") {
+    assertNoFalseNegative("""{"name":"a\"b"}""", ExactMatch("name", "a\"b"))
+  }
+
+  test("key-value match holds on a number written with an exponent") {
+    assertNoFalseNegative("""{"age":1e1}""", KeyValueMatch("age", "10"))
+  }
+
+  test("substring match holds on escaped slashes") {
+    assertNoFalseNegative("""{"url":"http:\/\/x.com"}""", SubstringMatch("url", "://x"))
+  }
+
   // ---- chunking ----
 
   test("chunking partitions lines in order") {
@@ -145,18 +165,35 @@ class ClientFilterSpec extends AnyFunSuite with PropSupport {
     noFalseNegative(ds.lines, atoms)
   }
 
-  private val objGen: Gen[(String, String, Long)] = for {
-    name <- Gen.alphaStr.map(_.take(8)).suchThat(_.nonEmpty)
-    word <- Gen.alphaLowerStr.map(_.take(6)).suchThat(_.nonEmpty)
+  /** Text that may hold a quote, a slash or a non-ASCII letter, which [[json]] escapes. */
+  private val textGen: Gen[String] = for {
+    s <- Gen.alphaStr.map(_.take(8)).suchThat(_.nonEmpty)
+    c <- Gen.oneOf("", "\"", "/", "\u00e9")
+    i <- Gen.choose(0, s.length)
+  } yield s.patch(i, c, 0)
+
+  /** A JSON string literal for `s`, escaping quotes, slashes and non-ASCII characters. */
+  private def json(s: String): String = s.flatMap {
+    case '"'           => "\\\""
+    case '/'           => "\\/"
+    case c if c > '~'  => f"\\u${c.toInt}%04x"
+    case c             => c.toString
+  }.mkString("\"", "", "\"")
+
+  /** Name, note word, age, and the age's spelling (plain or with an exponent). */
+  private val objGen: Gen[(String, String, Long, String)] = for {
+    name <- textGen
+    word <- textGen.map(_.take(6))
     age  <- Gen.choose(0L, 120L)
-  } yield (name, word, age)
+    ageJson <- Gen.oneOf(age.toString, s"${age}e0", s"${age / 10.0}E1")
+  } yield (name, word, age, ageJson)
 
   test("property: no false negatives on randomly generated flat objects") {
     forAllSamples(Gen.listOfN(5, objGen), n = 60) { objs =>
-      val lines = objs.map { case (n, w, a) =>
-        s"""{"name":"$n","note":"some $w here","age":$a}"""
+      val lines = objs.map { case (n, w, _, aj) =>
+        s"""{"name":${json(n)},"note":${json(s"some $w here")},"age":$aj}"""
       }
-      val atoms = objs.flatMap { case (n, w, a) =>
+      val atoms = objs.flatMap { case (n, w, a, _) =>
         Seq[Atom](ExactMatch("name", n), SubstringMatch("note", w),
           KeyValueMatch("age", a.toString), KeyPresence("note"))
       }
@@ -166,7 +203,7 @@ class ClientFilterSpec extends AnyFunSuite with PropSupport {
 
   test("property: clause-level no false negatives under disjunction") {
     forAllSamples(Gen.listOfN(4, objGen), n = 40) { objs =>
-      val lines = objs.map { case (n, w, a) => s"""{"name":"$n","note":"$w","age":$a}""" }
+      val lines = objs.map { case (n, w, _, aj) => s"""{"name":${json(n)},"note":${json(w)},"age":$aj}""" }
       val clause = Clause(
         ExactMatch("name", objs.head._1),
         KeyValueMatch("age", objs.last._3.toString))

@@ -6,44 +6,10 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import CostModel._
 
-/** Cost-model tests: the linear-algebra substrate, OLS recovery of known
-  * coefficients, R² behaviour under noise, and clause/atom cost composition.
+/** Cost-model tests: least-squares recovery of known coefficients, R²
+  * behaviour under noise, and clause/atom cost composition.
   */
 class CostModelSpec extends AnyFunSuite {
-
-  // ---- Gaussian elimination ----
-
-  test("solve: identity system") {
-    val x = solve(Array(Array(1.0, 0.0), Array(0.0, 1.0)), Array(3.0, 4.0))
-    assert(x.toSeq === Seq(3.0, 4.0))
-  }
-
-  test("solve: 3x3 system with pivoting") {
-    // x=1, y=2, z=3 for a matrix that needs row swaps
-    val a = Array(
-      Array(0.0, 2.0, 1.0),
-      Array(1.0, 0.0, 1.0),
-      Array(2.0, 1.0, 0.0))
-    val b = Array(2 * 2 + 3.0, 1 + 3.0, 2 + 2.0)
-    val x = solve(a, b)
-    assert(x.zip(Seq(1.0, 2.0, 3.0)).forall { case (g, e) => math.abs(g - e) < 1e-9 })
-  }
-
-  test("solve: singular system throws") {
-    intercept[IllegalArgumentException](
-      solve(Array(Array(1.0, 2.0), Array(2.0, 4.0)), Array(1.0, 2.0)))
-  }
-
-  test("solve: dimension mismatch throws") {
-    intercept[IllegalArgumentException](solve(Array(Array(1.0)), Array(1.0, 2.0)))
-  }
-
-  test("solve does not mutate its inputs") {
-    val a = Array(Array(2.0, 1.0), Array(1.0, 3.0))
-    val b = Array(1.0, 2.0)
-    solve(a, b)
-    assert(a(0).toSeq === Seq(2.0, 1.0) && b.toSeq === Seq(1.0, 2.0))
-  }
 
   // ---- calibration ----
 
@@ -63,6 +29,17 @@ class CostModelSpec extends AnyFunSuite {
   test("calibration recovers exact coefficients from noiseless samples") {
     val co = calibrate(syntheticSamples(200, noise = 0.0, seed = 1))
     truth.toSeq.zip(co.toSeq).foreach { case (e, g) =>
+      assert(math.abs(e - g) < 1e-6, s"expected $e got $g")
+    }
+  }
+
+  test("calibration fits all-miss samples: found-case coefficients are 0, the rest recovered") {
+    // Every pattern missed (sel = 0), so the found-case feature columns are all zero.
+    val co = calibrate(syntheticSamples(200, noise = 0.0, seed = 6).map { s =>
+      s.copy(sel = 0.0, measuredMicros = estimateSearch(truth, 0.0, s.lenP, s.lenT))
+    })
+    assert(math.abs(co.k1) < 1e-9 && math.abs(co.k2) < 1e-9, co)
+    Seq(truth.k3 -> co.k3, truth.k4 -> co.k4, truth.c -> co.c).foreach { case (e, g) =>
       assert(math.abs(e - g) < 1e-6, s"expected $e got $g")
     }
   }

@@ -65,12 +65,12 @@ class CiaoDataSourceSpec extends SparkSpec {
     */
   private def fullDf(ds: JsonDatasets.Dataset): DataFrame = {
     import spark.implicits._
-    spark.read.schema(CiaoDataSource.sparkSchema(ds.schema)).json(ds.lines.toDS())
+    spark.read.schema(ds.schema).json(ds.lines.toDS())
   }
 
   test("schema inference matches the store schema") {
     val (dir, ds, _) = fixture
-    assert(ciao(dir).schema === CiaoDataSource.sparkSchema(ds.schema))
+    assert(ciao(dir).schema === ds.schema)
   }
 
   test("unfiltered scan returns every row (parquet + raw JIT)") {
@@ -127,8 +127,8 @@ class CiaoDataSourceSpec extends SparkSpec {
   test("scan with a matched filter plans only parquet partitions") {
     val (dir, _, _) = fixture
     val m        = ChunkStore.readManifest(dir)
-    val scanAll  = new CiaoScan(dir, CiaoDataSource.sparkSchema(m.schema), m, Array.empty)
-    val scanSkip = new CiaoScan(dir, CiaoDataSource.sparkSchema(m.schema), m, m.registry.ids.toArray)
+    val scanAll  = new CiaoScan(dir, m.schema, m, Array.empty)
+    val scanSkip = new CiaoScan(dir, m.schema, m, m.registry.ids.toArray)
     val allParts  = scanAll.planInputPartitions()
     val skipParts = scanSkip.planInputPartitions()
     assert(allParts.exists(_.isInstanceOf[RawChunkPartition]))
@@ -140,7 +140,7 @@ class CiaoDataSourceSpec extends SparkSpec {
     val (dir, _, _) = fixture
     val m = ChunkStore.readManifest(dir)
     def emitted(ids: Array[Int]): Long = {
-      val scan = new CiaoScan(dir, CiaoDataSource.sparkSchema(m.schema), m, ids)
+      val scan = new CiaoScan(dir, m.schema, m, ids)
       scan.planInputPartitions().collect { case p: ParquetChunkPartition => p }.map { p =>
         val r = new ParquetChunkReader(p.copy(skipIds = ids))
         var n = 0L
@@ -163,7 +163,7 @@ class CiaoDataSourceSpec extends SparkSpec {
     val cf       = ChunkStore.listChunks(dir).head
     val combined = DataSkipping.combinedBits(ChunkStore.readBits(cf.bits.get), Seq(0), ds.lines.size)
     val reader   = new ParquetChunkReader(ParquetChunkPartition(cf.parquet.get, ds.lines.size.toLong, cf.bits, Array(0), ds.schema))
-    val types    = CiaoDataSource.sparkSchema(ds.schema).map(_.dataType)
+    val types    = ds.schema.map(_.dataType)
     val emitted  = Vector.newBuilder[Seq[Any]]
     try while (reader.next()) emitted += reader.get().copy().toSeq(types) finally reader.close()
     val expected = ParquetIO.readChunk(cf.parquet.get, ds.schema).zipWithIndex

@@ -2,10 +2,10 @@ package repro.server
 
 import java.nio.file.{Files, Paths}
 
+import org.apache.spark.sql.types.{BooleanType, DoubleType, LongType, StringType, StructType}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core._
-import TableSchema._
 
 /** Store layout, the manifest codec and sidecar IO. */
 class ChunkStoreSpec extends AnyFunSuite {
@@ -18,8 +18,8 @@ class ChunkStoreSpec extends AnyFunSuite {
     ChunkStore.RegEntry(2, Clause(KeyPresence("email")), 0.9, 0.07),
   ))
 
-  private val schema = TableSchema(Vector(
-    Col("name", CString), Col("age", CLong), Col("score", CDouble), Col("ok", CBool)))
+  private val schema =
+    new StructType().add("name", StringType).add("age", LongType).add("score", DoubleType).add("ok", BooleanType)
 
   private val chunks = Vector(
     ChunkStore.ChunkEntry(0, 0L, 1L, bits = false),
@@ -105,6 +105,13 @@ class ChunkStoreSpec extends AnyFunSuite {
     Files.write(Paths.get(ChunkStore.manifestPath(dir)),
       """{"cols":[],"predicates":[{"id":0,"sel":0.1,"cost":0.1,"atoms":[{"kind":"range","attr":"x"}]}],"chunks":[]}"""
         .getBytes)
+    intercept[IllegalArgumentException](ChunkStore.readManifest(dir))
+  }
+
+  test("unknown column type in manifest JSON fails loudly") {
+    val dir = tmpDir(); ChunkStore.init(dir)
+    Files.write(Paths.get(ChunkStore.manifestPath(dir)),
+      """{"cols":[{"name":"n","type":"int"}],"predicates":[],"chunks":[]}""".getBytes)
     intercept[IllegalArgumentException](ChunkStore.readManifest(dir))
   }
 

@@ -4,21 +4,20 @@ import java.nio.file.Files
 
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
+import org.apache.spark.sql.types.{BooleanType, DoubleType, LongType, StringType, StructType}
 import org.apache.spark.unsafe.types.UTF8String
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.datasource.CiaoDataSource
 import repro.json.JsonParser
-import TableSchema._
 
 /** Parquet chunk IO through Spark's writer and vectorized reader:
   * write/read round-trips, nulls, ordering across batches.
   */
 class ParquetIOSpec extends AnyFunSuite {
 
-  private val schema = TableSchema(Vector(
-    Col("s", CString), Col("l", CLong), Col("d", CDouble), Col("b", CBool)))
-  private val types = CiaoDataSource.sparkSchema(schema).map(_.dataType)
+  private val schema =
+    new StructType().add("s", StringType).add("l", LongType).add("d", DoubleType).add("b", BooleanType)
+  private val types = schema.map(_.dataType)
 
   private def tmpFile(): String =
     Files.createTempDirectory("pio").resolve("c.parquet").toString

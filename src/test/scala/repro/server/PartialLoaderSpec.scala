@@ -2,12 +2,12 @@ package repro.server
 
 import java.nio.file.Files
 
+import org.apache.spark.sql.types.{LongType, StructType}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.client.ClientFilter
 import repro.core._
 import repro.workload.JsonDatasets
-import TableSchema._
 
 /** Partial data loading (paper §VI-A): only objects valid for ≥1 pushed
   * predicate become Parquet rows; the rest stay raw; sidecars are compacted
@@ -60,7 +60,7 @@ class PartialLoaderSpec extends AnyFunSuite {
           // bit=1 for stars=5 implies the row's stars column may be 5 (client
           // semantics allow false positives but loaded values must verify for
           // true positives): typed recheck via parquet content
-          val starsIdx = ds.schema.names.indexOf("stars")
+          val starsIdx = ds.schema.fieldIndex("stars")
           rows.indices.foreach { i =>
             val isFive = !rows(i).isNullAt(starsIdx) && rows(i).getLong(starsIdx) == 5L
             if (isFive) assert(sidecar(0).get(i), "no false negatives survive loading")
@@ -124,7 +124,7 @@ class PartialLoaderSpec extends AnyFunSuite {
   }
 
   test("long columns load exact integers, and null for numbers that are not integers fitting a Long") {
-    val schema = TableSchema(Vector(Col("n", CLong)))
+    val schema = new StructType().add("n", LongType)
     val lines  = Vector("9007199254740993", "10.5", "-9223372036854775808", "9223372036854775808", "1e1", "\"7\"")
       .map(n => s"""{"n":$n}""")
     val dir = tmpDir()
