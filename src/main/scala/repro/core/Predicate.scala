@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.json.{JBool, JNum, JObj, JStr, JsonValue, JNull}
+import repro.json.{JBool, JNum, JObj, JStr, JNull}
 
 /** Predicate model of CIAO (paper §IV-B, Table I; §V-A).
   *

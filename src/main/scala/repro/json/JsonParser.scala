@@ -1,25 +1,34 @@
 package repro.json
 
-/** Recursive-descent JSON parser (rapidJSON substitute, see DESIGN.md §3).
+import com.fasterxml.jackson.core.{JsonFactory, JsonLocation, JsonProcessingException, JsonToken}
+import com.fasterxml.jackson.core.{JsonParser => Tokenizer}
+
+/** JSON parser: Jackson's streaming tokenizer (the jackson-core Spark ships;
+  * rapidJSON substitute, see DESIGN.md §3) walked into a [[JsonValue]] tree.
   *
-  * Supports the full JSON grammar: objects, arrays, strings with escape
-  * sequences (incl. \uXXXX), numbers (sign/fraction/exponent), booleans
-  * and null. Throws [[JsonParseException]] on malformed input with the
-  * offending offset.
+  * Numbers keep their lexeme. Malformed input, and input past Jackson's
+  * stream limits (such as nesting deeper than 1000), throws
+  * [[JsonParseException]] with the offending char offset, -1 when unknown.
   */
 object JsonParser {
 
   final case class JsonParseException(msg: String, pos: Int)
       extends RuntimeException(s"$msg at offset $pos")
 
+  /** Thread-safe; shared so every parser reuses its field-name table and buffers. */
+  private val factory = new JsonFactory()
+
   /** Parse a complete JSON document; trailing non-whitespace is an error. */
   def parse(s: String): JsonValue = {
-    val p = new P(s)
-    p.skipWs()
-    val v = p.value()
-    p.skipWs()
-    if (!p.eof) throw JsonParseException(s"trailing content '${p.peek}'", p.pos)
-    v
+    val p = factory.createParser(s)
+    try {
+      if (p.nextToken() == null) fail("unexpected eof", p.currentLocation)
+      val v = value(p)
+      if (p.nextToken() != null) fail(s"trailing content '${p.getText}'", p.currentTokenLocation)
+      v
+    } catch {
+      case e: JsonProcessingException => fail(e.getOriginalMessage, e.getLocation)
+    } finally p.close()
   }
 
   /** Parse a JSON object document, failing if the top-level value is not an object. */
@@ -28,136 +37,28 @@ object JsonParser {
     case other   => throw JsonParseException(s"expected object, got ${other.getClass.getSimpleName}", 0)
   }
 
-  private final class P(s: String) {
-    var pos = 0
-    def eof: Boolean = pos >= s.length
-    def peek: Char   = s.charAt(pos)
+  private def fail(msg: String, at: JsonLocation): Nothing =
+    throw JsonParseException(msg, if (at == null) -1 else at.getCharOffset.toInt)
 
-    def skipWs(): Unit =
-      while (!eof && (peek == ' ' || peek == '\t' || peek == '\n' || peek == '\r')) pos += 1
-
-    private def fail(msg: String): Nothing = throw JsonParseException(msg, pos)
-
-    private def expect(c: Char): Unit = {
-      if (eof || peek != c) fail(s"expected '$c'" + (if (eof) " (eof)" else s", got '$peek'"))
-      pos += 1
-    }
-
-    def value(): JsonValue = {
-      if (eof) fail("unexpected eof")
-      peek match {
-        case '{'                                      => obj()
-        case '['                                      => arr()
-        case '"'                                      => JStr(string())
-        case 't'                                      => lit("true", JBool(true))
-        case 'f'                                      => lit("false", JBool(false))
-        case 'n'                                      => lit("null", JNull)
-        case c if c == '-' || (c >= '0' && c <= '9')  => number()
-        case c                                        => fail(s"unexpected character '$c'")
-      }
-    }
-
-    private def lit(word: String, v: JsonValue): JsonValue = {
-      if (pos + word.length > s.length || s.substring(pos, pos + word.length) != word)
-        fail(s"invalid literal, expected '$word'")
-      pos += word.length
-      v
-    }
-
-    private def obj(): JObj = {
-      expect('{'); skipWs()
+  /** The value starting at the current token; leaves `p` on its last token. */
+  private def value(p: Tokenizer): JsonValue = p.currentToken match {
+    case JsonToken.START_OBJECT =>
       val fields = Vector.newBuilder[(String, JsonValue)]
-      if (!eof && peek == '}') { pos += 1; return JObj(fields.result()) }
-      var done = false
-      while (!done) {
-        skipWs()
-        val k = string()
-        skipWs(); expect(':'); skipWs()
-        val v = value()
-        fields += ((k, v))
-        skipWs()
-        if (eof) fail("unterminated object")
-        peek match {
-          case ',' => pos += 1
-          case '}' => pos += 1; done = true
-          case c   => fail(s"expected ',' or '}', got '$c'")
-        }
+      while (p.nextToken() == JsonToken.FIELD_NAME) {
+        val k = p.currentName
+        p.nextToken()
+        fields += ((k, value(p)))
       }
       JObj(fields.result())
-    }
-
-    private def arr(): JArr = {
-      expect('['); skipWs()
+    case JsonToken.START_ARRAY =>
       val items = Vector.newBuilder[JsonValue]
-      if (!eof && peek == ']') { pos += 1; return JArr(items.result()) }
-      var done = false
-      while (!done) {
-        skipWs()
-        items += value()
-        skipWs()
-        if (eof) fail("unterminated array")
-        peek match {
-          case ',' => pos += 1
-          case ']' => pos += 1; done = true
-          case c   => fail(s"expected ',' or ']', got '$c'")
-        }
-      }
+      while (p.nextToken() != JsonToken.END_ARRAY) items += value(p)
       JArr(items.result())
-    }
-
-    private def string(): String = {
-      expect('"')
-      val sb = new StringBuilder
-      while (true) {
-        if (eof) fail("unterminated string")
-        val c = peek
-        pos += 1
-        c match {
-          case '"'  => return sb.toString
-          case '\\' =>
-            if (eof) fail("unterminated escape")
-            val e = peek; pos += 1
-            e match {
-              case '"'  => sb.append('"')
-              case '\\' => sb.append('\\')
-              case '/'  => sb.append('/')
-              case 'n'  => sb.append('\n')
-              case 't'  => sb.append('\t')
-              case 'r'  => sb.append('\r')
-              case 'b'  => sb.append('\b')
-              case 'f'  => sb.append('\f')
-              case 'u'  =>
-                if (pos + 4 > s.length) fail("truncated \\u escape")
-                val hex = s.substring(pos, pos + 4)
-                val cp  = try Integer.parseInt(hex, 16)
-                          catch { case _: NumberFormatException => fail(s"bad \\u escape '$hex'") }
-                sb.append(cp.toChar); pos += 4
-              case o    => fail(s"bad escape '\\$o'")
-            }
-          case o if o < 0x20 => fail("raw control character in string")
-          case o    => sb.append(o)
-        }
-      }
-      throw new IllegalStateException("unreachable")
-    }
-
-    private def number(): JNum = {
-      val start = pos
-      if (!eof && peek == '-') pos += 1
-      if (eof || !peek.isDigit) fail("malformed number")
-      while (!eof && peek.isDigit) pos += 1
-      if (!eof && peek == '.') {
-        pos += 1
-        if (eof || !peek.isDigit) fail("malformed number fraction")
-        while (!eof && peek.isDigit) pos += 1
-      }
-      if (!eof && (peek == 'e' || peek == 'E')) {
-        pos += 1
-        if (!eof && (peek == '+' || peek == '-')) pos += 1
-        if (eof || !peek.isDigit) fail("malformed number exponent")
-        while (!eof && peek.isDigit) pos += 1
-      }
-      JNum(s.substring(start, pos))
-    }
+    case JsonToken.VALUE_STRING                                    => JStr(p.getText)
+    case JsonToken.VALUE_NUMBER_INT | JsonToken.VALUE_NUMBER_FLOAT => JNum(p.getText)
+    case JsonToken.VALUE_TRUE                                      => JBool(true)
+    case JsonToken.VALUE_FALSE                                     => JBool(false)
+    case JsonToken.VALUE_NULL                                      => JNull
+    case t                                                         => fail(s"unexpected token $t", p.currentTokenLocation)
   }
 }

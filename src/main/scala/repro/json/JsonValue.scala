@@ -1,5 +1,7 @@
 package repro.json
 
+import com.fasterxml.jackson.core.io.JsonStringEncoder
+
 /** Minimal JSON AST used by the server-side loader and the JIT raw reader.
   *
   * This is the reproduction's substitute for rapidJSON (the paper's parser):
@@ -48,21 +50,5 @@ final case class JObj(fields: Vector[(String, JsonValue)]) extends JsonValue {
 
 object JsonValue {
   /** Quote and escape a string for JSON output. */
-  def quote(s: String): String = {
-    val sb = new StringBuilder(s.length + 2)
-    sb.append('"')
-    s.foreach {
-      case '"'  => sb.append("\\\"")
-      case '\\' => sb.append("\\\\")
-      case '\n' => sb.append("\\n")
-      case '\r' => sb.append("\\r")
-      case '\t' => sb.append("\\t")
-      case '\b' => sb.append("\\b")
-      case '\f' => sb.append("\\f")
-      case c if c < 0x20 => sb.append(f"\\u${c.toInt}%04x")
-      case c    => sb.append(c)
-    }
-    sb.append('"')
-    sb.toString
-  }
+  def quote(s: String): String = "\"" + new String(JsonStringEncoder.getInstance.quoteAsString(s)) + "\""
 }

@@ -1,6 +1,8 @@
 package repro.workload
 
-import java.util.Random
+import java.util.{ArrayList, Collections, Random}
+
+import scala.jdk.CollectionConverters._
 
 import repro.core.{CiaoQuery, Clause}
 
@@ -54,7 +56,11 @@ object WorkloadGen {
     require(pool.nonEmpty, "empty predicate pool")
     val rnd = new Random(seed)
     // Shuffle deterministically so Zipf rank is not tied to pool order.
-    val order   = shuffled(pool.indices.toVector, new Random(seed ^ 0x5eed))
+    val order = {
+      val xs = new ArrayList[Int](pool.indices.asJava)
+      Collections.shuffle(xs, new Random(seed ^ 0x5eed))
+      xs.asScala.toVector
+    }
     val weights = dist match {
       case z: Zipfian => order.indices.map(r => 1.0 / math.pow(r + 1, z.exponent))
       case Uniform    => order.indices.map(_ => 1.0)
@@ -101,17 +107,6 @@ object WorkloadGen {
       }
     }
     p.toVector
-  }
-
-  private def shuffled[A](xs: Vector[A], rnd: Random): Vector[A] = {
-    val a = xs.toArray[Any]
-    var i = a.length - 1
-    while (i > 0) {
-      val j = rnd.nextInt(i + 1)
-      val t = a(i); a(i) = a(j); a(j) = t
-      i -= 1
-    }
-    a.toVector.asInstanceOf[Vector[A]]
   }
 
   /** Predicate skewness factor (paper §VII-E.3):

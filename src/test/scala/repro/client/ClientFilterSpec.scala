@@ -7,6 +7,7 @@ import repro.PropSupport
 import repro.core._
 import repro.json.JsonParser
 import repro.workload.JsonDatasets
+import ClientFilterSpec.Obj
 
 /** Client-side raw-string predicate evaluation (paper §IV).
   *
@@ -180,22 +181,31 @@ class ClientFilterSpec extends AnyFunSuite with PropSupport {
     case c             => c.toString
   }.mkString("\"", "", "\"")
 
-  /** Name, note word, age, and the age's spelling (plain or with an exponent). */
-  private val objGen: Gen[(String, String, Long, String)] = for {
-    name <- textGen
-    word <- textGen.map(_.take(6))
-    age  <- Gen.choose(0L, 120L)
+  /** `o` as one line whose note is `note`. */
+  private def line(o: Obj, note: String): String =
+    s"""{${o.nested}"name"${o.colon}${json(o.name)}${o.comma}"note"${o.colon}${json(note)}${o.comma}"age"${o.colon}${o.ageJson}}"""
+
+  private val wsGen: Gen[String] = Gen.oneOf("", " ", "\t", " \t ")
+
+  private val objGen: Gen[Obj] = for {
+    name    <- textGen
+    word    <- textGen.map(_.take(6))
+    age     <- Gen.choose(0L, 120L)
     ageJson <- Gen.oneOf(age.toString, s"${age}e0", s"${age / 10.0}E1")
-  } yield (name, word, age, ageJson)
+    colon   <- Gen.zip(wsGen, wsGen).map { case (a, b) => s"$a:$b" }
+    comma   <- Gen.zip(wsGen, wsGen).map { case (a, b) => s"$a,$b" }
+    other   <- Gen.choose(0L, 120L)
+    key      = s""""o"$colon{"age"$colon$other}$comma"""
+    literal  = s""""tags"$colon[$age]$comma"""
+    nested  <- Gen.oneOf("", key, literal, key + literal)
+  } yield Obj(name, word, age, ageJson, colon, comma, nested)
 
   test("property: no false negatives on randomly generated flat objects") {
     forAllSamples(Gen.listOfN(5, objGen), n = 60) { objs =>
-      val lines = objs.map { case (n, w, _, aj) =>
-        s"""{"name":${json(n)},"note":${json(s"some $w here")},"age":$aj}"""
-      }
-      val atoms = objs.flatMap { case (n, w, a, _) =>
-        Seq[Atom](ExactMatch("name", n), SubstringMatch("note", w),
-          KeyValueMatch("age", a.toString), KeyPresence("note"))
+      val lines = objs.map(o => line(o, s"some ${o.word} here"))
+      val atoms = objs.flatMap { o =>
+        Seq[Atom](ExactMatch("name", o.name), SubstringMatch("note", o.word),
+          KeyValueMatch("age", o.age.toString), KeyPresence("note"))
       }
       noFalseNegative(lines, atoms)
     }
@@ -203,14 +213,23 @@ class ClientFilterSpec extends AnyFunSuite with PropSupport {
 
   test("property: clause-level no false negatives under disjunction") {
     forAllSamples(Gen.listOfN(4, objGen), n = 40) { objs =>
-      val lines = objs.map { case (n, w, _, aj) => s"""{"name":${json(n)},"note":${json(w)},"age":$aj}""" }
+      val lines = objs.map(o => line(o, o.word))
       val clause = Clause(
-        ExactMatch("name", objs.head._1),
-        KeyValueMatch("age", objs.last._3.toString))
+        ExactMatch("name", objs.head.name),
+        KeyValueMatch("age", objs.last.age.toString))
       lines.foreach { l =>
         val obj = JsonParser.parseObject(l)
         if (clause.evalParsed(obj)) assert(ClientFilter.matchClause(l, clause))
       }
     }
   }
+}
+
+private object ClientFilterSpec {
+  /** Name, note word and age, and how the line spells them: the age plain or
+    * with an exponent, whitespace around `:` and `,`, and an optional nested
+    * value before the top-level keys that holds the key `age` or the age's literal.
+    */
+  final case class Obj(name: String, word: String, age: Long, ageJson: String,
+                       colon: String, comma: String, nested: String)
 }

@@ -109,6 +109,20 @@ class JsonParserSpec extends AnyFunSuite with PropSupport {
     intercept[JsonParser.JsonParseException](JsonParser.parse("\"\\uZZZZ\""))
   }
 
+  test("rejects a number with a leading zero") {
+    intercept[JsonParser.JsonParseException](JsonParser.parse("01"))
+  }
+
+  test("rejects a non-ASCII digit in a number") {
+    // U+0660 ARABIC-INDIC DIGIT ZERO: a digit to Character.isDigit, not to JSON
+    intercept[JsonParser.JsonParseException](JsonParser.parseObject("{\"age\":1\u0660}"))
+  }
+
+  test("deep nesting fails as a parse error, not a stack overflow") {
+    val n = 200000
+    intercept[JsonParser.JsonParseException](JsonParser.parse("[" * n + "]" * n))
+  }
+
   private val jsonStringGen: Gen[String] =
     Gen.listOf(Gen.frequency(
       8 -> Gen.alphaNumChar,

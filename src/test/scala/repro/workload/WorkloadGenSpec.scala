@@ -1,5 +1,8 @@
 package repro.workload
 
+import java.nio.charset.StandardCharsets
+import java.security.MessageDigest
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core._
@@ -95,6 +98,13 @@ class WorkloadGenSpec extends AnyFunSuite {
     }.toMap
     assert(distinct("A") < distinct("B"), s"A=${distinct("A")} B=${distinct("B")}")
     assert(distinct("B") < distinct("C"), s"B=${distinct("B")} C=${distinct("C")}")
+  }
+
+  test("Table III workloads are pinned: digest of every query's SQL") {
+    val w   = tableIII(pool)
+    val sql = Seq("A", "B", "C").flatMap(k => w(k)._1.map(_.whereSql)).mkString("\n")
+    val sha = MessageDigest.getInstance("SHA-256").digest(sql.getBytes(StandardCharsets.UTF_8))
+    assert(sha.take(8).map("%02x".format(_)).mkString === "d0208988d925afb3")
   }
 
   test("zipfian parameter must exceed 1") {
